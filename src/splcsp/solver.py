@@ -8,7 +8,7 @@ vertex.  Costs are non-negative integers extended with ``INFINITY``
 `solve` minimizes the total cost over all assignments in one bottom-up
 pass over a decomposition: tables are indexed by the values of a
 subgraph's four special vertices, so the whole run is
-O(|G| * d**6) time and the answer is exact.  `oracle_solve` does the
+O(|G| * d**5) time and the answer is exact.  `oracle_solve` does the
 same by exhaustive enumeration and exists to cross-check the solver on
 small instances.
 """
@@ -34,6 +34,17 @@ _SMALL_ORACLE = 4096
 
 _CHUNK = 1 << 16
 
+# float64 holds every integer up to 2**53 exactly.  The DP's largest
+# intermediate is twice an instance's worst finite total (a parallel
+# node adds both branches before taking the shared edge back out), so
+# that total may not exceed 2**52.
+_COST_LIMIT = 1 << 52
+
+
+class CostOverflowError(ValueError):
+    """The instance's finite costs could add up to more than 2**52,
+    beyond which float64 sums are no longer exact."""
+
 
 class InstanceMismatchError(ValueError):
     """Instance and graph (or decomposition) do not describe each other."""
@@ -54,14 +65,17 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def _validate_table(arr: np.ndarray, what: str) -> None:
-    if np.isnan(arr).any():
-        raise ValueError(f"{what}: NaN is not a cost")
-    if (arr < 0).any():
+def _validate_table(arr: np.ndarray, what: str) -> np.ndarray:
+    """Check that ``arr`` holds costs; return it with INFINITY as 0,
+    so callers can take the largest finite entries from the result."""
+    if not (arr >= 0).all():
+        if np.isnan(arr).any():
+            raise ValueError(f"{what}: NaN is not a cost")
         raise ValueError(f"{what}: costs must be non-negative")
-    finite = arr[np.isfinite(arr)]
-    if finite.size and not (np.floor(finite) == finite).all():
+    finite = np.where(np.isinf(arr), 0.0, arr)
+    if not (np.floor(finite) == finite).all():
         raise ValueError(f"{what}: finite costs must be integers")
+    return finite
 
 
 class PcspInstance:
@@ -92,6 +106,8 @@ class PcspInstance:
         zero = np.zeros((d, d))
         zero.setflags(write=False)
         tables: dict[tuple[int, int], np.ndarray] = {}
+        # the largest finite cost of every edge and vertex, added up
+        worst = 0
         if edge_costs is None:
             tables = {k: zero for k in keys}
         elif callable(edge_costs):
@@ -100,25 +116,35 @@ class PcspInstance:
                 for a in range(d):
                     for b in range(d):
                         tab[a, b] = float(edge_costs(e, a, b))
-                tables[(e.src, e.dst)] = tab
+                k = (e.src, e.dst)
+                worst += int(_validate_table(tab, f"edge {k}").max())
+                tab.setflags(write=False)
+                tables[k] = tab
         else:
             extra = set(edge_costs) - set(keys)
             if extra:
                 raise InstanceMismatchError(
                     f"edge costs given for non-edges: {sorted(extra)[:4]}"
                 )
+            # builders often give every edge one table object: copy,
+            # validate and reduce each distinct object once.  The memo
+            # holds the object so its id cannot be reused meanwhile.
+            seen: dict[int, tuple[object, np.ndarray, int]] = {}
             for k in keys:
-                if k in edge_costs:
-                    tab = np.array(edge_costs[k], dtype=float)
+                if k not in edge_costs:
+                    tables[k] = zero
+                    continue
+                given = edge_costs[k]
+                hit = seen.get(id(given))
+                if hit is None:
+                    tab = np.array(given, dtype=float)
                     if tab.shape != (d, d):
                         raise ValueError(f"edge table {k} must be {d}x{d}")
-                    tables[k] = tab
-                else:
-                    tables[k] = zero
-        for k, tab in tables.items():
-            if tab is not zero:
-                _validate_table(tab, f"edge {k}")
-                tab.setflags(write=False)
+                    high = int(_validate_table(tab, f"edge {k}").max())
+                    tab.setflags(write=False)
+                    hit = seen[id(given)] = (given, tab, high)
+                tables[k] = hit[1]
+                worst += hit[2]
         self.edge_tables = tables
 
         if vertex_costs is None:
@@ -138,7 +164,14 @@ class PcspInstance:
             vt = np.array(vertex_costs, dtype=float)
             if vt.shape != (n, d):
                 raise ValueError(f"vertex costs must be {n}x{d}")
-        _validate_table(vt, "vertex costs")
+        # a float64 sum of non-negative integers is exact up to 2**53, so
+        # it only rounds where the total is far past the limit anyway
+        worst += int(_validate_table(vt, "vertex costs").max(axis=1).sum())
+        if worst > _COST_LIMIT:
+            raise CostOverflowError(
+                f"finite costs can add up to {worst}, more than 2**52: "
+                "float64 sums would no longer be exact"
+            )
         vt.setflags(write=False)
         self.vertex_costs = vt
 
@@ -223,7 +256,11 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # child specials, and for the root's own specials in the final minimum.
 # Allowed sets are {0, INFINITY} masks applied at the nodes that create
 # vertices (atoms and loops); merges keep specials aligned, so masked
-# axes stay masked.
+# axes stay masked.  A loop's minimization over its child's four
+# specials separates, because the exit value meets only the child's B
+# (through the break edge): S, then (T, C), then B costs d**5 + d**4 +
+# d**3 rather than d**6.  The backtrack's argmin choices are stored in
+# the smallest unsigned dtype that holds their index range.
 
 
 def _check_same_cfg(a: Cfg, b: Cfg) -> None:
@@ -240,7 +277,9 @@ def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
     et = instance.edge_tables
     nodes = decomp.nodes
     tables: list[np.ndarray | None] = [None] * len(nodes)
-    choices: list[np.ndarray | None] = [None] * len(nodes)
+    choices: list = [None] * len(nodes)
+    one = np.min_scalar_type(d - 1)
+    pair = np.min_scalar_type(d * d - 1)
 
     def masks(quad):
         s, t, b, c = quad
@@ -267,7 +306,7 @@ def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
                 + tables[right][None, :, :, :, :]
                 + vt[m][None, :, None, None, None]
             )
-            choices[i] = z.argmin(axis=1)
+            choices[i] = z.argmin(axis=1).astype(one)
             dp = z.min(axis=1)
         elif node.kind == "parallel":
             left, right = node.children
@@ -300,22 +339,20 @@ def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
             back_t = et[(ct, S)]
             back_c = et[(cc, S)]
             exit_b = et[(cb, T)]
-            core = np.empty((d, d))
-            args = np.empty((d, d), dtype=np.int64)
-            for su in range(d):
-                m = w + (
-                    enter[su][:, None, None, None]
-                    + back_t[:, su][None, :, None, None]
-                    + back_c[:, su][None, None, None, :]
-                )
-                # add the break exit per exit value, then minimize the
-                # child's whole value quadruple away
-                x = m[None, :, :, :, :] + exit_b.T[:, None, None, :, None]
-                flat = x.reshape(d, -1)
-                args[su] = flat.argmin(axis=1)
-                core[su] = flat[np.arange(d), args[su]]
+            # axes: the loop's S value, then the child's B, T, C and S
+            # values; each step reduces the last axis
+            x = w.transpose(2, 1, 3, 0)[None] + enter[:, None, None, None, :]
+            arg_s = x.argmin(axis=4)
+            x = (
+                x.min(axis=4) + back_t.T[:, None, :, None] + back_c.T[:, None, None, :]
+            ).reshape(d, d, d * d)
+            arg_tc = x.argmin(axis=2)
+            # (S value, child B value, loop T value)
+            x = x.min(axis=2)[:, :, None] + exit_b[None]
+            arg_b = x.argmin(axis=1)
+            core = x.min(axis=1)
             dp = core[:, :, None, None] + exit_st[:, :, None, None] + masks(node.specials)
-            choices[i] = args
+            choices[i] = (arg_s.astype(one), arg_tc.astype(pair), arg_b.astype(one))
         else:
             raise ValueError(f"unknown node kind: {node.kind!r}")
         tables[i] = dp
@@ -374,15 +411,13 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
             stack.append((right, (s, t, b, c)))
         elif node.kind == "loop":
             (child,) = node.children
-            rest = int(choices[i][s, t])
-            sub = []
-            for _ in range(4):
-                sub.append(rest % d)
-                rest //= d
-            sub.reverse()
+            arg_s, arg_tc, arg_b = choices[i]
+            cb = int(arg_b[s, t])
+            ct, cc = divmod(int(arg_tc[s, cb]), d)
+            sub = (int(arg_s[s, cb, ct, cc]), ct, cb, cc)
             for vertex, value in zip(nodes[child].specials, sub):
                 assignment[vertex] = value
-            stack.append((child, tuple(sub)))
+            stack.append((child, sub))
 
     if len(assignment) != instance.cfg.vertex_count:
         raise AssertionError("reconstruction did not assign every vertex exactly once")

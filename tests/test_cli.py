@@ -174,6 +174,22 @@ def test_solve_bad_instance(program, capsys, tmp_path):
     assert "error" in err
 
 
+def test_solve_refuses_inexact_costs(program, capsys, tmp_path):
+    path = program("a")
+    inst = instance_file(
+        tmp_path,
+        {
+            "domain_size": 2,
+            "edge_costs": [{"src": 0, "dst": 1, "table": [[2**53, 0], [0, 0]]}],
+        },
+    )
+    rc, out, err = run(capsys, "solve", path, "--instance", inst)
+    assert rc == 1
+    assert out == ""
+    assert "2**52" in err
+    assert "Traceback" not in err
+
+
 def test_solve_oracle_mismatch_exit_code(program, capsys, tmp_path, monkeypatch):
     path = program("a")
     inst = instance_file(tmp_path, {"domain_size": 2})

@@ -305,12 +305,142 @@ def test_solve_matches_oracle(seed, size, domain):
         assert evaluate(inst, got.assignment) == want.min_cost
 
 
+def test_loop_witness_survives_packed_index_above_255():
+    # the loop backtrack packs the child's (T, C) values into one index
+    # below d*d; at d=17 with T and C in {15, 16} it exceeds 255
+    d = decompose_source("while p do a od")
+    loop = next(node for node in d.nodes if node.kind == "loop")
+    _, ct, _, cc = d.nodes[loop.children[0]].specials
+    n = d.cfg.vertex_count
+    allowed = {v: [15, 16] if v in (ct, cc) else [0, 1] for v in range(n)}
+    rng = np.random.default_rng(17)
+    edge_costs = {
+        (e.src, e.dst): rng.integers(0, 20, size=(17, 17)).tolist()
+        for e in d.cfg.edges
+    }
+    vertex_costs = rng.integers(0, 20, size=(n, 17))
+    inst = PcspInstance(d.cfg, 17, edge_costs, vertex_costs, allowed)
+    got = solve(inst, d)
+    assert got.min_cost == oracle_solve(inst).min_cost
+    assert evaluate(inst, got.assignment) == got.min_cost
+
+
+@pytest.mark.filterwarnings("ignore::splcsp.spl.OpenProgramWarning")
+@pytest.mark.parametrize("domain", [4, 5, 9, 16, 17])
+@pytest.mark.parametrize(
+    "src",
+    [
+        "while p do a od",
+        "while p do if q then break else a fi od",
+        "while p do a; continue od",
+        "while p do if q then break else continue fi od; b",
+    ],
+)
+def test_solve_matches_oracle_at_larger_domains(src, domain):
+    d = decompose_source(src)
+    n = d.cfg.vertex_count
+    rng = np.random.default_rng(domain)
+    for _ in range(3):
+        edge_costs = {}
+        for e in d.cfg.edges:
+            tab = rng.integers(0, 10, size=(domain, domain)).astype(float)
+            tab[rng.random((domain, domain)) < 0.1] = INFINITY
+            edge_costs[(e.src, e.dst)] = tab
+        # two or three values per vertex, spread over the whole domain
+        allowed = {
+            v: rng.choice(domain, size=int(rng.integers(2, 4)), replace=False).tolist()
+            for v in range(n)
+        }
+        inst = PcspInstance(
+            d.cfg, domain, edge_costs, rng.integers(0, 10, size=(n, domain)), allowed
+        )
+        got = solve(inst, d)
+        want = oracle_solve(inst)
+        assert got.min_cost == want.min_cost
+        if got.assignment is not None:
+            assert evaluate(inst, got.assignment) == got.min_cost
+
+
 def test_solve_deterministic():
     d = decompose_source("while p do if q then a else b; c fi od")
     inst = gen.random_instance(d.cfg, 3, seed=11)
     first = solve(inst, d)
     second = solve(inst, d)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# exact integer costs
+
+
+def test_refuses_costs_that_float64_cannot_sum_exactly():
+    d = decompose_source("a; b")
+    first, second = [(e.src, e.dst) for e in d.cfg.edges][:2]
+    edge_costs = {
+        first: [[2**53 + 1] * 2] * 2,
+        second: [[2**53] * 2] * 2,
+    }
+    with pytest.raises(solver.CostOverflowError):
+        PcspInstance(d.cfg, 2, edge_costs)
+    # vertex rows count too; INFINITY is a hard constraint, not a cost
+    PcspInstance(d.cfg, 2, vertex_costs={0: [INFINITY, 2**52], 1: [0, INFINITY]})
+    with pytest.raises(solver.CostOverflowError):
+        PcspInstance(d.cfg, 2, vertex_costs={0: [INFINITY, 2**52], 1: [1, 0]})
+    assert issubclass(solver.CostOverflowError, ValueError)
+
+
+def test_costs_at_the_overflow_limit_stay_exact():
+    d = decompose_source("if p then a else b fi; while q do c; break od")
+    keys = [(e.src, e.dst) for e in d.cfg.edges]
+    n = d.cfg.vertex_count
+    rng = np.random.default_rng(52)
+    # per-edge maxima that add up to exactly 2**52, odd entries included
+    highs = [(1 << 52) // len(keys) - 1] * len(keys)
+    highs[0] += (1 << 52) - sum(highs)
+    tables = {}
+    for key, high in zip(keys, highs):
+        tab = [[int(x) for x in row] for row in rng.integers(high // 2, high, size=(2, 2))]
+        tab[1][1] = high
+        tables[key] = tab
+    inst = PcspInstance(d.cfg, 2, tables)
+    got = solve(inst, d)
+
+    def exact(assignment):
+        return sum(tables[src, dst][assignment[src]][assignment[dst]] for src, dst in keys)
+
+    best = min(exact(dict(enumerate(combo))) for combo in itertools.product(range(2), repeat=n))
+    assert got.min_cost == best
+    assert exact(got.assignment) == best
+    assert oracle_solve(inst).min_cost == best
+
+    tables[keys[0]][1][1] += 1
+    with pytest.raises(solver.CostOverflowError):
+        PcspInstance(d.cfg, 2, tables)
+
+
+# ---------------------------------------------------------------------------
+# shared edge tables
+
+
+def test_shared_edge_table_is_validated_once_and_stays_separate():
+    d = decompose_source("a; b; c")
+    keys = [(e.src, e.dst) for e in d.cfg.edges]
+    shared = np.array([[0.0, 2.0], [3.0, 0.0]])
+    twin = shared.copy()
+    edge_costs = {k: shared for k in keys[:-1]}
+    edge_costs[keys[-1]] = twin
+    inst = PcspInstance(d.cfg, 2, edge_costs)
+    tabs = [inst.edge_tables[k] for k in keys]
+    assert all(tab is tabs[0] for tab in tabs[:-1])
+    assert tabs[-1] is not tabs[0]
+    assert tabs[0] is not shared
+    for tab in tabs:
+        assert not tab.flags.writeable
+        assert tab.tolist() == [[0.0, 2.0], [3.0, 0.0]]
+    shared[0, 1] = 9.0
+    assert inst.edge_tables[keys[0]][0, 1] == 2.0
+    with pytest.raises(ValueError):
+        PcspInstance(d.cfg, 2, {k: [[0, -1], [0, 0]] for k in keys})
 
 
 # ---------------------------------------------------------------------------
