@@ -254,22 +254,53 @@ class _Parser:
         return " ".join(words)
 
     def parse_seq(self) -> Stmt:
-        node = self.parse_stmt()
+        """Parse one sequence.  Open ``if`` and ``while`` statements wait
+        on an explicit stack, so nesting depth is not bounded by Python's
+        recursion limit."""
+        # the innermost open sequence: the keyword that closes it (None
+        # for the outermost), its statement's span and guard, a finished
+        # then-branch, and the sequence so far
+        closing = span = guard = then = seq = None
+        enclosing: list[tuple] = []
         while True:
             tok = self._peek()
-            if tok is None or tok.text != ";":
-                return node
-            self._next()
-            right = self.parse_stmt()
-            node = Seq(node, right, span=node.span)
+            if tok is None:
+                last = self.tokens[-1]
+                raise ProgramSyntaxError(
+                    "expected a statement, got end of input", last.line, last.col
+                )
+            if tok.text == "if" or tok.text == "while":
+                self._next()
+                enclosing.append((closing, span, guard, then, seq))
+                if tok.text == "if":
+                    closing, guard = "else", self._guard_until("then")
+                else:
+                    closing, guard = "od", self._guard_until("do")
+                span, then, seq = (tok.line, tok.col), None, None
+                continue
+            stmt = self._simple_stmt(tok)
+            # append the statement, then close every construct whose
+            # body ends with it
+            while True:
+                seq = stmt if seq is None else Seq(seq, stmt, span=seq.span)
+                tok = self._peek()
+                if tok is not None and tok.text == ";":
+                    self._next()
+                    break
+                if closing is None:
+                    return seq
+                self._expect(closing)
+                if closing == "else":
+                    closing, then, seq = "fi", seq, None
+                    break
+                if closing == "fi":
+                    stmt = If(guard, then, seq, span=span)
+                else:
+                    stmt = While(guard, seq, span=span)
+                closing, span, guard, then, seq = enclosing.pop()
 
-    def parse_stmt(self) -> Stmt:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1]
-            raise ProgramSyntaxError(
-                "expected a statement, got end of input", last.line, last.col
-            )
+    def _simple_stmt(self, tok: _Token) -> Stmt:
+        """An atom run, ``break`` or ``continue`` starting at ``tok``."""
         span = (tok.line, tok.col)
         if tok.text == "break":
             self._next()
@@ -277,20 +308,6 @@ class _Parser:
         if tok.text == "continue":
             self._next()
             return Continue(span=span)
-        if tok.text == "if":
-            self._next()
-            guard = self._guard_until("then")
-            then_branch = self.parse_seq()
-            self._expect("else")
-            else_branch = self.parse_seq()
-            self._expect("fi")
-            return If(guard, then_branch, else_branch, span=span)
-        if tok.text == "while":
-            self._next()
-            guard = self._guard_until("do")
-            body = self.parse_seq()
-            self._expect("od")
-            return While(guard, body, span=span)
         if tok.text in KEYWORDS or tok.text == ";":
             raise ProgramSyntaxError(f"unexpected '{tok.text}'", tok.line, tok.col)
         words = []
@@ -325,20 +342,6 @@ def parse_program(source: str) -> Stmt:
 # pretty-printer
 
 
-def _seq_items(node: Stmt) -> list[Stmt]:
-    """Flatten nested Seq nodes into their statements, in order."""
-    out: list[Stmt] = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Seq):
-            stack.append(n.right)
-            stack.append(n.left)
-        else:
-            out.append(n)
-    return out
-
-
 def pretty_print(tree: Stmt, indent: str = "  ") -> str:
     """Render a tree in canonical form: one statement per line,
     ``;`` at line ends, bodies indented one level.
@@ -346,36 +349,33 @@ def pretty_print(tree: Stmt, indent: str = "  ") -> str:
     Parsing the output yields a tree equal to the input (spans aside).
     """
     lines: list[str] = []
-
-    def emit(node: Stmt, depth: int) -> None:
+    # work items: (statement or literal line, depth, text after it); in
+    # a sequence, ';' follows the left part
+    stack: list[tuple[Stmt | str, int, str]] = [(tree, 0, "")]
+    while stack:
+        node, depth, end = stack.pop()
         pad = indent * depth
-        if isinstance(node, Epsilon):
-            lines.append(pad + node.text)
+        if isinstance(node, str):
+            lines.append(pad + node + end)
+        elif isinstance(node, Epsilon):
+            lines.append(pad + node.text + end)
         elif isinstance(node, Break):
-            lines.append(pad + "break")
+            lines.append(pad + "break" + end)
         elif isinstance(node, Continue):
-            lines.append(pad + "continue")
+            lines.append(pad + "continue" + end)
         elif isinstance(node, If):
             lines.append(pad + f"if {node.guard} then")
-            emit_seq(node.then_branch, depth + 1)
-            lines.append(pad + "else")
-            emit_seq(node.else_branch, depth + 1)
-            lines.append(pad + "fi")
+            stack.append(("fi", depth, end))
+            stack.append((node.else_branch, depth + 1, ""))
+            stack.append(("else", depth, ""))
+            stack.append((node.then_branch, depth + 1, ""))
         elif isinstance(node, While):
             lines.append(pad + f"while {node.guard} do")
-            emit_seq(node.body, depth + 1)
-            lines.append(pad + "od")
-        else:  # Seq at statement position: flatten here too
-            emit_seq(node, depth)
-
-    def emit_seq(node: Stmt, depth: int) -> None:
-        items = _seq_items(node)
-        for i, item in enumerate(items):
-            emit(item, depth)
-            if i < len(items) - 1:
-                lines[-1] += ";"
-
-    emit_seq(tree, 0)
+            stack.append(("od", depth, end))
+            stack.append((node.body, depth + 1, ""))
+        else:
+            stack.append((node.right, depth, end))
+            stack.append((node.left, depth, ";"))
     return "\n".join(lines) + "\n"
 
 

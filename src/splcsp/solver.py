@@ -7,16 +7,18 @@ vertex.  Costs are non-negative integers extended with ``INFINITY``
 
 `solve` minimizes the total cost over all assignments in one bottom-up
 pass over a decomposition: tables are indexed by the values of a
-subgraph's four special vertices, so the whole run is
-O(|G| * d**5) time and the answer is exact.  `oracle_solve` does the
-same by exhaustive enumeration and exists to cross-check the solver on
-small instances.
+subgraph's four special vertices, but only on the specials its edges
+touch.  A node whose subgraph holds no break or continue costs
+O(d**3) and any node at most O(d**5), so the whole run is linear in |G|
+and the answer is exact.  `oracle_solve` does the same by exhaustive
+enumeration and exists to cross-check the solver on small instances.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -33,6 +35,11 @@ DEFAULT_ORACLE_BUDGET = 1 << 24
 _SMALL_ORACLE = 4096
 
 _CHUNK = 1 << 16
+
+# elements of a series or loop node's widened sum formed at once: a
+# node whose d**5 sum is larger forms it a few rows at a time, so its
+# memory stays near d**4 whatever the program's shape
+_BLOCK = 1 << 12
 
 # float64 holds every integer up to 2**53 exactly.  The DP's largest
 # intermediate is twice an instance's worst finite total (a parallel
@@ -254,13 +261,31 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # its internal (non-special) vertices.  Vertex costs are charged where
 # a vertex stops being special: at the series merge point, at a loop's
 # child specials, and for the root's own specials in the final minimum.
-# Allowed sets are {0, INFINITY} masks applied at the nodes that create
-# vertices (atoms and loops); merges keep specials aligned, so masked
-# axes stay masked.  A loop's minimization over its child's four
-# specials separates, because the exit value meets only the child's B
-# (through the break edge): S, then (T, C), then B costs d**5 + d**4 +
-# d**3 rather than d**6.  The backtrack's argmin choices are stored in
-# the smallest unsigned dtype that holds their index range.
+#
+# An axis whose special no edge of the node's subgraph touches has
+# length 1, since the table cannot depend on it; numpy broadcasting
+# widens it where a sibling touches the vertex.  S is always touched;
+# an atom touches S and its one target, a loop S and T (its B and C are
+# fresh), and series and parallel nodes get the broadcast union of
+# their children's shapes.  So a node whose subgraph holds no break or
+# continue edge costs d**3, and d**5 is the worst case (a series node,
+# or a loop's child, whose T, B and C are all touched).
+#
+# Allowed sets are {0, INFINITY} masks, so adding one twice is
+# harmless.  Every full axis carries its vertex's mask, added where an
+# atom or a loop creates the axis; series and parallel merges keep
+# specials aligned, and a series merge point is its right child's S.
+# A length-1 axis's mask is deferred to where its vertex is minimized
+# away: a loop folds the vertex cost and the mask of each child special
+# into the edge table that special meets, and the root's final minimum
+# adds both on all four axes (choosing a length-1 axis's value on its
+# own, since it meets nothing else).
+#
+# A loop's minimization over its child's specials separates, because
+# the exit value meets only the child's B (through the break edge): S,
+# then (T, C), then B.  The backtrack's argmin choices are stored in the
+# smallest unsigned dtype that holds their index range, and read with
+# index 0 on length-1 axes.
 
 
 def _check_same_cfg(a: Cfg, b: Cfg) -> None:
@@ -270,10 +295,34 @@ def _check_same_cfg(a: Cfg, b: Cfg) -> None:
         raise InstanceMismatchError("instance and decomposition use different graphs")
 
 
+def _at(arr: np.ndarray, *index: int) -> int:
+    """``arr[index]``, reading index 0 on the length-1 axes: each index
+    is taken modulo its axis length."""
+    return arr.item(tuple(map(operator.mod, index, arr.shape)))
+
+
+def _min_argmin(rows: np.ndarray, other: np.ndarray, axis: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``z.argmin(axis)`` as ``dtype`` and ``z.min(axis)`` of the
+    broadcast sum ``z = rows + other``, where ``other``'s first axis has
+    length 1 and both have the same number of axes.  z is formed a block
+    of ``rows``' first-axis rows at a time: about ``_BLOCK`` elements,
+    or one row if that is more."""
+    step = max(1, _BLOCK // math.prod(map(max, rows.shape[1:], other.shape[1:])))
+    args, mins = [], []
+    for lo in range(0, len(rows), step):
+        z = rows[lo : lo + step] + other
+        args.append(z.argmin(axis=axis).astype(dtype))
+        mins.append(z.min(axis=axis))
+    if len(args) == 1:
+        return args[0], mins[0]
+    return np.concatenate(args), np.concatenate(mins)
+
+
 def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
     d = instance.d
     am = instance.allowed_mask
     vt = instance.vertex_costs
+    vm = vt + am
     et = instance.edge_tables
     nodes = decomp.nodes
     tables: list[np.ndarray | None] = [None] * len(nodes)
@@ -281,33 +330,49 @@ def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
     one = np.min_scalar_type(d - 1)
     pair = np.min_scalar_type(d * d - 1)
 
-    def masks(quad):
-        s, t, b, c = quad
-        return (
-            am[s][:, None, None, None]
-            + am[t][None, :, None, None]
-            + am[b][None, None, :, None]
-            + am[c][None, None, None, :]
-        )
+    def atom(src: int, dst: int) -> np.ndarray:
+        return et[(src, dst)] + am[src][:, None] + am[dst][None, :]
+
+    # a loop builds its intermediates in this function, so they are
+    # freed on return instead of staying bound while later nodes run
+    def loop(S: int, T: int, w: np.ndarray, child_specials):
+        cs, ct, cb, cc = child_specials
+        # each child special's vertex cost and mask ride on the edge
+        # table it meets, whatever the length of its axis in w
+        enter = et[(S, cs)] + vm[cs][None, :]
+        back_t = et[(ct, S)] + vm[ct][:, None]
+        back_c = et[(cc, S)] + vm[cc][:, None]
+        exit_b = et[(cb, T)] + vm[cb][:, None]
+        # axes: the loop's S value, then the child's B, T, C and S
+        # values; each step reduces the last axis
+        arg_s, x = _min_argmin(enter[:, None, None, None, :], w.transpose(2, 1, 3, 0)[None], 4, one)
+        x = x + back_t.T[:, None, :, None] + back_c.T[:, None, None, :]
+        x = x.reshape(d, x.shape[1], d * d)
+        arg_tc = x.argmin(axis=2).astype(pair)
+        # (S value, child B value, loop T value)
+        x = x.min(axis=2)[:, :, None] + exit_b[None]
+        arg_b = x.argmin(axis=1).astype(one)
+        core = x.min(axis=1) + atom(S, T)
+        return (arg_s, arg_tc, arg_b), core[:, :, None, None]
 
     for i, node in enumerate(nodes):
         S, T, B, C = node.specials
         if node.kind == "epsilon":
-            dp = et[(S, T)][:, :, None, None] + masks(node.specials)
+            dp = atom(S, T)[:, :, None, None]
         elif node.kind == "break":
-            dp = et[(S, B)][:, None, :, None] + masks(node.specials)
+            dp = atom(S, B)[:, None, :, None]
         elif node.kind == "continue":
-            dp = et[(S, C)][:, None, None, :] + masks(node.specials)
+            dp = atom(S, C)[:, None, None, :]
         elif node.kind == "series":
             left, right = node.children
-            m = node.merged
-            z = (
-                tables[left][:, :, None, :, :]
-                + tables[right][None, :, :, :, :]
-                + vt[m][None, :, None, None, None]
+            # axes: S, the merge point, then T, B and C; the merge
+            # point's cost joins the smaller right operand
+            choices[i], dp = _min_argmin(
+                tables[left][:, :, None],
+                (tables[right] + vt[node.merged][:, None, None, None])[None],
+                1,
+                one,
             )
-            choices[i] = z.argmin(axis=1).astype(one)
-            dp = z.min(axis=1)
         elif node.kind == "parallel":
             left, right = node.children
             dp = tables[left] + tables[right]
@@ -327,32 +392,7 @@ def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
                 dp[np.isnan(dp)] = INFINITY
         elif node.kind == "loop":
             (child,) = node.children
-            cs, ct, cb, cc = nodes[child].specials
-            w = tables[child] + (
-                vt[cs][:, None, None, None]
-                + vt[ct][None, :, None, None]
-                + vt[cb][None, None, :, None]
-                + vt[cc][None, None, None, :]
-            )
-            enter = et[(S, cs)]
-            exit_st = et[(S, T)]
-            back_t = et[(ct, S)]
-            back_c = et[(cc, S)]
-            exit_b = et[(cb, T)]
-            # axes: the loop's S value, then the child's B, T, C and S
-            # values; each step reduces the last axis
-            x = w.transpose(2, 1, 3, 0)[None] + enter[:, None, None, None, :]
-            arg_s = x.argmin(axis=4)
-            x = (
-                x.min(axis=4) + back_t.T[:, None, :, None] + back_c.T[:, None, None, :]
-            ).reshape(d, d, d * d)
-            arg_tc = x.argmin(axis=2)
-            # (S value, child B value, loop T value)
-            x = x.min(axis=2)[:, :, None] + exit_b[None]
-            arg_b = x.argmin(axis=1)
-            core = x.min(axis=1)
-            dp = core[:, :, None, None] + exit_st[:, :, None, None] + masks(node.specials)
-            choices[i] = (arg_s.astype(one), arg_tc.astype(pair), arg_b.astype(one))
+            choices[i], dp = loop(S, T, tables[child], nodes[child].specials)
         else:
             raise ValueError(f"unknown node kind: {node.kind!r}")
         tables[i] = dp
@@ -363,11 +403,23 @@ def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
 
 
 def dp_tables(instance: PcspInstance, decomp: Decomposition) -> list[np.ndarray]:
-    """All per-node tables, in decomposition (post-)order; for tests
+    """All per-node tables, in decomposition (post-)order, each full
+    (d, d, d, d) with every special's allowed set applied; for tests
     and inspection, so nothing is freed."""
     _check_same_cfg(instance.cfg, decomp.cfg)
     tables, _ = _forward(instance, decomp, keep=True)
-    return tables
+    am = instance.allowed_mask
+    full = []
+    for tab, node in zip(tables, decomp.nodes):
+        s, t, b, c = (am[v] for v in node.specials)
+        full.append(
+            tab
+            + s[:, None, None, None]
+            + t[None, :, None, None]
+            + b[None, None, :, None]
+            + c[None, None, None, :]
+        )
+    return full
 
 
 def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
@@ -377,20 +429,26 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
     tables, choices = _forward(instance, decomp, keep=False)
     nodes = decomp.nodes
     root = decomp.root
-    rs, rt, rb, rc = nodes[root].specials
     vt = instance.vertex_costs
-    total = tables[root] + (
-        vt[rs][:, None, None, None]
-        + vt[rt][None, :, None, None]
-        + vt[rb][None, None, :, None]
-        + vt[rc][None, None, None, :]
-    )
+    am = instance.allowed_mask
+    # a root special on a length-1 axis meets only its own cost: pick
+    # its value alone rather than widening the table
+    total = tables[root]
+    quad = [0, 0, 0, 0]
+    for axis, v in enumerate(nodes[root].specials):
+        row = vt[v] + am[v]
+        if total.shape[axis] == 1:
+            quad[axis] = int(row.argmin())
+            row = row[quad[axis]]
+        total = total + row.reshape([-1 if k == axis else 1 for k in range(4)])
     flat = int(np.argmin(total))
     best = float(total.reshape(-1)[flat])
     if math.isinf(best):
         return Solution(INFINITY, None)
-    quad = np.unravel_index(flat, (d, d, d, d))
-    quad = tuple(int(q) for q in quad)
+    for axis, q in enumerate(np.unravel_index(flat, total.shape)):
+        if total.shape[axis] > 1:
+            quad[axis] = int(q)
+    quad = tuple(quad)
 
     assignment: dict[int, int] = {}
     for vertex, value in zip(nodes[root].specials, quad):
@@ -400,7 +458,7 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
         i, (s, t, b, c) = stack.pop()
         node = nodes[i]
         if node.kind == "series":
-            m = int(choices[i][s, t, b, c])
+            m = _at(choices[i], s, t, b, c)
             assignment[node.merged] = m
             left, right = node.children
             stack.append((left, (s, m, b, c)))
@@ -413,8 +471,8 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
             (child,) = node.children
             arg_s, arg_tc, arg_b = choices[i]
             cb = int(arg_b[s, t])
-            ct, cc = divmod(int(arg_tc[s, cb]), d)
-            sub = (int(arg_s[s, cb, ct, cc]), ct, cb, cc)
+            ct, cc = divmod(_at(arg_tc, s, cb), d)
+            sub = (_at(arg_s, s, cb, ct, cc), ct, cb, cc)
             for vertex, value in zip(nodes[child].specials, sub):
                 assignment[vertex] = value
             stack.append((child, sub))

@@ -369,6 +369,20 @@ def test_usage_errors_are_exit_code_1(capsys):
     capsys.readouterr()
 
 
+def test_parse_deeply_nested_program(capsys, program):
+    depth = 2000
+    text = (
+        "".join("  " * k + f"while p{k} do\n" for k in range(depth))
+        + "  " * depth
+        + "a\n"
+        + "".join("  " * k + "od\n" for k in reversed(range(depth)))
+    )
+    rc, out, err = run(capsys, "parse", program(text))
+    assert rc == 0
+    assert out == text
+    assert err == ""
+
+
 def test_help_is_exit_code_0(capsys):
     assert run_cli(["--help"]) == 0
     out = capsys.readouterr().out

@@ -170,6 +170,41 @@ def test_pretty_print_round_trip_gcd():
     assert parse_program(pretty_print(tree)) == tree
 
 
+def _shape(tree):
+    # flat preorder listing: comparing deep trees with == would recurse
+    return [
+        (type(node).__name__, getattr(node, "guard", getattr(node, "text", None)))
+        for node in lang.walk(tree)
+    ]
+
+
+def test_deep_while_nesting_round_trips():
+    depth = 2000
+    text = (
+        "".join("  " * k + f"while p{k} do\n" for k in range(depth))
+        + "  " * depth
+        + "a\n"
+        + "".join("  " * k + "od\n" for k in reversed(range(depth)))
+    )
+    tree = parse_program(text)
+    assert pretty_print(tree) == text
+    assert count_nodes(tree) == depth + 1
+
+
+def test_deep_if_nesting_round_trips():
+    tree = Epsilon("a")
+    for k in range(2000):
+        inner = Seq(tree, Break()) if k % 3 == 0 else tree
+        if k % 2:
+            tree = If(f"q{k}", inner, Epsilon("b"))
+        else:
+            tree = If(f"q{k}", Continue(), inner)
+    text = pretty_print(tree)
+    parsed = parse_program(text)
+    assert _shape(parsed) == _shape(tree)
+    assert pretty_print(parsed) == text
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,179 @@ def test_solve_matches_oracle_at_larger_domains(src, domain):
         assert got.min_cost == want.min_cost
         if got.assignment is not None:
             assert evaluate(inst, got.assignment) == got.min_cost
+
+
+def masks_decide_instance(d, domain, rng, allowed=None):
+    """Random instance whose disallowed values are the cheap ones.
+
+    Each vertex allows one or two values (at most domain - 1) unless
+    ``allowed`` fixes its set.  A disallowed value costs nothing, on the
+    vertex and on every edge entry it takes part in, so a mask that is
+    never applied shows up as a minimum that is too low.
+    """
+    n = d.cfg.vertex_count
+    allowed = dict(allowed or {})
+    for v in range(n):
+        if v not in allowed:
+            k = int(rng.integers(1, min(2, domain - 1) + 1))
+            allowed[v] = rng.choice(domain, size=k, replace=False).tolist()
+    ok = np.zeros((n, domain), dtype=bool)
+    for v, vals in allowed.items():
+        ok[v, vals] = True
+    vertex_costs = np.where(ok, rng.integers(3, 10, size=(n, domain)), 0)
+    edge_costs = {
+        (e.src, e.dst): np.where(
+            ok[e.src][:, None] & ok[e.dst][None, :],
+            rng.integers(0, 10, size=(domain, domain)),
+            0,
+        )
+        for e in d.cfg.edges
+    }
+    return PcspInstance(d.cfg, domain, edge_costs, vertex_costs, allowed)
+
+
+@pytest.mark.parametrize("domain", [2, 3, 4])
+@pytest.mark.parametrize(
+    "src",
+    [
+        # the dead statement's S is the break atom's untouched T
+        "while p do a; break; b od",
+        # the body's T is never reached by an edge inside the body
+        "while p do if q then break else continue fi; c od",
+        "while p do while q do if r then break else a fi od; "
+        "if s then continue else b fi od",
+    ],
+)
+def test_deferred_masks_match_oracle(src, domain):
+    d = decompose_source(src)
+    rng = np.random.default_rng([domain, len(src)])
+    for _ in range(4):
+        inst = masks_decide_instance(d, domain, rng)
+        got = solve(inst, d)
+        want = oracle_solve(inst)
+        assert got.min_cost == want.min_cost
+        assert evaluate(inst, got.assignment) == got.min_cost
+
+
+@pytest.mark.parametrize("domain", [2, 3, 4])
+@pytest.mark.parametrize("src", ["a; while p do b od", "while p do a; continue od"])
+def test_root_break_and_continue_masks_apply(src, domain):
+    # a closed program's root B and C meet no edge: only the root's
+    # final minimum sees their allowed sets
+    d = decompose_source(src)
+    _, _, rb, rc = d.nodes[d.root].specials
+    rng = np.random.default_rng(domain)
+    inst = masks_decide_instance(d, domain, rng, {rb: [domain - 1], rc: [domain - 1]})
+    got = solve(inst, d)
+    assert got.min_cost == oracle_solve(inst).min_cost
+    assert got.assignment[rb] == got.assignment[rc] == domain - 1
+    assert evaluate(inst, got.assignment) == got.min_cost
+
+
+def test_jump_free_solve_memory_stays_small():
+    # no break or continue: every table is at most d x d x 1 x 1 and
+    # the series argmin works on d**3 cells, not d**5
+    tree = gen.gen_random_program(
+        gen.GenConfig(seed=16, size=60, p_break=0.0, p_continue=0.0)
+    )
+    kinds = {type(node) for node in lang.walk(tree)}
+    assert {lang.If, lang.While} <= kinds
+    assert not kinds & {lang.Break, lang.Continue}
+    d = decompose(tree)
+    inst = gen.random_instance(d.cfg, 16, seed=16, inf_prob=0.0)
+    tracemalloc.start()
+    try:
+        got = solve(inst, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert evaluate(inst, got.assignment) == got.min_cost
+    assert peak < 4 * 2**20
+
+
+def test_widest_nodes_form_their_sum_in_blocks():
+    # the body's series and loop nodes see T, B and C all touched, so
+    # their sums have d**5 cells (8 MiB of float64 at d=16); formed
+    # whole, with argmin's copy, the peak passes 25 MiB
+    d = decompose_source("while p do a; if q then break else continue fi; b od")
+    inst = gen.random_instance(d.cfg, 16, seed=3, inf_prob=0.0)
+    tracemalloc.start()
+    try:
+        got = solve(inst, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert evaluate(inst, got.assignment) == got.min_cost
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("domain", [2, 3, 4])
+@pytest.mark.parametrize(
+    "src",
+    [
+        "while p do a; if q then break else continue fi; b od",
+        "while p do while q do if r then break else a fi od; "
+        "if s then continue else b fi od",
+    ],
+)
+def test_one_row_blocks_give_the_same_solution(monkeypatch, src, domain):
+    d = decompose_source(src)
+    inst = gen.random_instance(d.cfg, domain, seed=domain, inf_prob=0.15, restrict_prob=0.3)
+    whole = solve(inst, d)
+    monkeypatch.setattr(solver, "_BLOCK", 1)
+    blocked = solve(inst, d)
+    assert blocked == whole
+    assert blocked.min_cost == oracle_solve(inst).min_cost
+
+
+def test_straight_line_at_large_domain_matches_viterbi():
+    domain = 24
+    d = decompose_source("; ".join(f"s{k}" for k in range(30)))
+    cfg = d.cfg
+    n = cfg.vertex_count
+    rng = np.random.default_rng(24)
+    allowed = {
+        v: rng.choice(domain, size=int(rng.integers(1, domain + 1)), replace=False).tolist()
+        for v in range(n)
+        if rng.random() < 0.5
+    }
+    inst = PcspInstance(
+        cfg,
+        domain,
+        {(e.src, e.dst): rng.integers(0, 100, size=(domain, domain)) for e in cfg.edges},
+        rng.integers(0, 100, size=(n, domain)),
+        allowed,
+    )
+    # the edges form one path from the entry: run Viterbi along it
+    cost = inst.vertex_costs + inst.allowed_mask
+    succ = {e.src: e.dst for e in cfg.edges}
+    assert len(succ) == 30
+    v = cfg.entry
+    best = cost[v]
+    while v in succ:
+        w = succ[v]
+        best = (best[:, None] + inst.edge_tables[(v, w)]).min(axis=0) + cost[w]
+        v = w
+    assert v == cfg.exit
+    touched = {e.src for e in cfg.edges} | {e.dst for e in cfg.edges}
+    want = best.min() + sum(cost[u].min() for u in range(n) if u not in touched)
+    got = solve(inst, d)
+    assert got.min_cost == want
+    assert evaluate(inst, got.assignment) == want
+
+
+def test_deep_nesting_decomposes_and_solves():
+    depth = 2000
+    text = (
+        "".join(f"while p{k} do\n" for k in range(depth))
+        + "a\n"
+        + "od\n" * depth
+    )
+    d = decompose(lang.parse_program(text))
+    assert sum(node.kind == "loop" for node in d.nodes) == depth
+    inst = gen.random_instance(d.cfg, 2, seed=depth, inf_prob=0.0)
+    got = solve(inst, d)
+    assert evaluate(inst, got.assignment) == got.min_cost
 
 
 def test_solve_deterministic():
