@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .solver import PcspInstance
-from .spl import Cfg, Edge
+from .spl import Cfg
 
 
 class DomainTooLargeError(ValueError):
@@ -80,12 +80,15 @@ def build_bank_selection(cfg: Cfg, spec: BankSpec) -> PcspInstance:
     else:
         taken = set(spec.taken_edges)
 
-    def cost(edge: Edge, b0: int, b1: int) -> int:
-        # staying put or forgetting the bank is free; switching to a
-        # known bank needs a selection instruction on this edge
-        if b1 == b0 or b1 == bottom:
-            return 0
-        return spec.c1 if (edge.src, edge.dst) in taken else spec.c0
+    # staying put or forgetting the bank is free; switching to a known
+    # bank needs a selection instruction on the edge
+    switches = ~np.eye(spec.banks + 1, dtype=bool)
+    switches[:, bottom] = False
+    c0 = np.where(switches, float(spec.c0), 0.0)
+    c1 = np.where(switches, float(spec.c1), 0.0)
+    edge_costs = {
+        (e.src, e.dst): c1 if (e.src, e.dst) in taken else c0 for e in cfg.edges
+    }
 
     allowed: dict[int, tuple[int, ...]] = {
         v: (bank,) for v, bank in spec.preassigned.items()
@@ -96,7 +99,7 @@ def build_bank_selection(cfg: Cfg, spec: BankSpec) -> PcspInstance:
         and cfg.entry not in spec.preassigned
     ):
         allowed[cfg.entry] = (bottom,)
-    return PcspInstance(cfg, spec.banks + 1, cost, None, allowed)
+    return PcspInstance(cfg, spec.banks + 1, edge_costs, None, allowed)
 
 
 def decode_banks(spec: BankSpec, assignment: Mapping[int, int]) -> dict[int, int | None]:
@@ -152,18 +155,26 @@ def build_lospre(cfg: Cfg, spec: LospreSpec) -> PcspInstance:
         if not 0 <= v < cfg.vertex_count:
             raise ValueError(f"vertex {v} not in the graph")
     inv = spec.effective_invalidating(cfg)
-
-    def cost(edge: Edge, lx: int, ly: int) -> int:
-        carries = lx == 1 and edge.src not in inv
-        needed = edge.dst in spec.use or ly == 1
-        if not carries and needed:
-            return spec.edge_cost((edge.src, edge.dst))
-        return 0
-
-    def vertex(v: int, lv: int) -> int:
-        return spec.vertex_cost(v) if lv == 1 else 0
-
-    return PcspInstance(cfg, 2, cost, vertex)
+    # edges agreeing on (source invalidates, target uses, price) share
+    # one table.  y needs the value when it uses it or ly = 1; x carries
+    # it in when lx = 1 and x does not invalidate; a needed value that
+    # is not carried in is recomputed on the edge.
+    tables: dict[tuple[bool, bool, int], np.ndarray] = {}
+    edge_costs = {}
+    for e in cfg.edges:
+        key = (e.src, e.dst)
+        rule = (e.src in inv, e.dst in spec.use, spec.edge_cost(key))
+        tab = tables.get(rule)
+        if tab is None:
+            invalidates, uses, price = rule
+            recompute = [float(price) if uses else 0.0, float(price)]
+            tab = tables[rule] = np.array(
+                [recompute, recompute if invalidates else [0.0, 0.0]]
+            )
+        edge_costs[key] = tab
+    vertex = np.zeros((cfg.vertex_count, 2))
+    vertex[:, 1] = [float(spec.vertex_cost(v)) for v in range(cfg.vertex_count)]
+    return PcspInstance(cfg, 2, edge_costs, vertex)
 
 
 def lospre_objective(cfg: Cfg, spec: LospreSpec, members: set[int]) -> int:

@@ -11,12 +11,16 @@ subgraph's four special vertices, but only on the specials its edges
 touch.  A node whose subgraph holds no break or continue costs
 O(d**3) and any node at most O(d**5), so the whole run is linear in |G|
 and the answer is exact.  `oracle_solve` does the same by exhaustive
-enumeration and exists to cross-check the solver on small instances.
+enumeration, in numpy chunks of `_CHUNK` assignments, and exists to
+cross-check the solver on small instances.
+
+An instance holds tables only.  The problem builders emit them
+directly; a callable cost is an adapter that `PcspInstance` tabulates
+first and then checks like any table.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -30,10 +34,7 @@ INFINITY = math.inf
 
 DEFAULT_ORACLE_BUDGET = 1 << 24
 
-# pure-python enumeration below this many combinations: cheaper than
-# setting up numpy for tiny instances
-_SMALL_ORACLE = 4096
-
+# assignments `oracle_solve` scores per numpy pass
 _CHUNK = 1 << 16
 
 # elements of a series or loop node's widened sum formed at once: a
@@ -88,10 +89,11 @@ def _validate_table(arr: np.ndarray, what: str) -> np.ndarray:
 class PcspInstance:
     """Costs and allowed sets for one graph.
 
-    ``edge_costs`` may be a callable ``f(edge, a, b)``, a mapping from
-    (src, dst) to a d x d table, or None for all-zero.  ``vertex_costs``
-    may be a callable ``f(v, a)``, an (n, d) array, a mapping from
-    vertex to a length-d vector, or None.  ``allowed`` maps vertices to
+    ``edge_costs`` may be a mapping from (src, dst) to a d x d table,
+    None for all-zero, or a callable ``f(edge, a, b)`` that is
+    tabulated first.  ``vertex_costs`` may be an (n, d) array, a
+    mapping from vertex to a length-d vector, None, or a callable
+    ``f(v, a)`` that is tabulated first.  ``allowed`` maps vertices to
     non-empty subsets of the domain; unlisted vertices allow everything.
     """
 
@@ -110,6 +112,22 @@ class PcspInstance:
         d, n = self.d, cfg.vertex_count
 
         keys = [(e.src, e.dst) for e in cfg.edges]
+        # callables are an adapter: tabulate them, then check the
+        # tables like any others
+        if callable(edge_costs):
+            f = edge_costs
+            edge_costs = {
+                (e.src, e.dst): np.array(
+                    [[f(e, a, b) for b in range(d)] for a in range(d)], dtype=float
+                )
+                for e in cfg.edges
+            }
+        if callable(vertex_costs):
+            f = vertex_costs
+            vertex_costs = np.array(
+                [[f(v, a) for a in range(d)] for v in range(n)], dtype=float
+            ).reshape(n, d)
+
         zero = np.zeros((d, d))
         zero.setflags(write=False)
         tables: dict[tuple[int, int], np.ndarray] = {}
@@ -117,16 +135,6 @@ class PcspInstance:
         worst = 0
         if edge_costs is None:
             tables = {k: zero for k in keys}
-        elif callable(edge_costs):
-            for e in cfg.edges:
-                tab = np.empty((d, d))
-                for a in range(d):
-                    for b in range(d):
-                        tab[a, b] = float(edge_costs(e, a, b))
-                k = (e.src, e.dst)
-                worst += int(_validate_table(tab, f"edge {k}").max())
-                tab.setflags(write=False)
-                tables[k] = tab
         else:
             extra = set(edge_costs) - set(keys)
             if extra:
@@ -156,11 +164,6 @@ class PcspInstance:
 
         if vertex_costs is None:
             vt = np.zeros((n, d))
-        elif callable(vertex_costs):
-            vt = np.empty((n, d))
-            for v in range(n):
-                for a in range(d):
-                    vt[v, a] = float(vertex_costs(v, a))
         elif isinstance(vertex_costs, Mapping):
             vt = np.zeros((n, d))
             for v, row in vertex_costs.items():
@@ -504,26 +507,6 @@ def oracle_solve(
         raise BudgetExceededError(combos, budget)
     if n == 0:
         return Solution(0, {})
-
-    if combos <= _SMALL_ORACLE:
-        vt = instance.vertex_costs.tolist()
-        edge_list = [
-            (src, dst, tab.tolist()) for (src, dst), tab in instance.edge_tables.items()
-        ]
-        best = INFINITY
-        best_combo = None
-        for combo in itertools.product(*allowed):
-            total = 0.0
-            for v in range(n):
-                total += vt[v][combo[v]]
-            for src, dst, tab in edge_list:
-                total += tab[combo[src]][combo[dst]]
-            if total < best:
-                best = total
-                best_combo = combo
-        if best_combo is None or math.isinf(best):
-            return Solution(INFINITY, None)
-        return Solution(int(best), {v: best_combo[v] for v in range(n)})
 
     radices = [len(vals) for vals in allowed]
     weights = [1] * n

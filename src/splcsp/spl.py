@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import lang
 from .lang import Span, Stmt
@@ -636,5 +636,47 @@ def decompose(tree: Stmt) -> Decomposition:
 
 
 def cfg_json_dumps(obj: dict) -> str:
-    """Stable serialization used by the CLI: same input, same bytes."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Stable serialization used by the CLI: same input, same bytes.
+
+    Writes what ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
+    writes, but keeps an explicit stack: the json encoder recurses once
+    per nesting level, so deeply nested programs would exhaust the
+    recursion limit.
+    """
+    out: list[str] = []
+    # per open container: its remaining (text before an entry, entry)
+    # pairs and its closing text
+    stack: list[tuple[Iterator, str]] = []
+    value = obj
+    while True:
+        if isinstance(value, (dict, list, tuple)) and value:
+            inner = "\n" + "  " * (len(stack) + 1)
+            if isinstance(value, dict):
+                # keys are sorted as given, then written as strings
+                items = sorted(value.items())
+                heads = [
+                    inner + json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
+                    for k, _ in items
+                ]
+                values = [v for _, v in items]
+                brackets = "{}"
+            else:
+                heads, values, brackets = [inner] * len(value), value, "[]"
+            heads[1:] = ["," + head for head in heads[1:]]
+            out.append(brackets[0])
+            stack.append((zip(heads, values), "\n" + "  " * len(stack) + brackets[1]))
+        elif isinstance(value, dict):
+            out.append("{}")
+        elif isinstance(value, (list, tuple)):
+            out.append("[]")
+        else:
+            out.append(json.dumps(value))
+        while stack:
+            entry = next(stack[-1][0], None)
+            if entry is not None:
+                out.append(entry[0])
+                value = entry[1]
+                break
+            out.append(stack.pop()[1])
+        else:
+            return "".join(out) + "\n"

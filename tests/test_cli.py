@@ -383,6 +383,19 @@ def test_parse_deeply_nested_program(capsys, program):
     assert err == ""
 
 
+def test_json_output_of_deeply_nested_program(capsys, program):
+    # json.loads would recurse as deep as the output nests, so count
+    # the nodes in the text instead
+    depth = 2000
+    path = program("while p do " * depth + "a" + " od" * depth)
+    rc, out, err = run(capsys, "parse", path, "--json")
+    assert (rc, err) == (0, "")
+    assert out.count('"kind": "while"') == depth
+    rc, out, err = run(capsys, "cfg", path, "--tree")
+    assert (rc, err) == (0, "")
+    assert out.count('"kind": "loop"') == depth
+
+
 def test_help_is_exit_code_0(capsys):
     assert run_cli(["--help"]) == 0
     out = capsys.readouterr().out

@@ -23,7 +23,7 @@ from splcsp.instances import (
     lospre_objective,
     regalloc_domain,
 )
-from splcsp.solver import INFINITY, evaluate, oracle_solve, solve
+from splcsp.solver import INFINITY, CostOverflowError, evaluate, oracle_solve, solve
 from splcsp.spl import Cfg, decompose
 
 # one straight-line access, then a diamond whose branches both access
@@ -163,6 +163,15 @@ def test_bank_validation():
         build_bank_selection(d.cfg, BankSpec(banks=0))
 
 
+def test_bank_refuses_a_taken_edge_price_beyond_exact_sums():
+    d = decompose_source(BANK_PROGRAM)
+    assert any(e.taken for e in d.cfg.edges)
+    with pytest.raises(CostOverflowError):
+        build_bank_selection(d.cfg, BankSpec(banks=1, c1=2**53))
+    # c1 prices taken branch edges only
+    build_bank_selection(d.cfg, BankSpec(banks=1, c1=2**53, taken_edges=frozenset()))
+
+
 def test_decode_banks():
     spec = BankSpec(banks=2)
     assert decode_banks(spec, {0: 0, 1: 2, 2: 1}) == {0: 0, 1: None, 2: 1}
@@ -274,6 +283,43 @@ def test_lospre_validation():
     d = decompose_source("a")
     with pytest.raises(ValueError):
         build_lospre(d.cfg, LospreSpec(use=frozenset({99})))
+
+
+@pytest.mark.parametrize("priced", [False, True])
+def test_lospre_tables_follow_the_spec_rule(priced):
+    d = decompose_source("a; while p do if q then b; break else c fi; e od; f")
+    cfg = d.cfg
+    n = cfg.vertex_count
+    keys = [(e.src, e.dst) for e in cfg.edges]
+    spec = LospreSpec(
+        use=frozenset(range(1, n, 2)),
+        invalidating=frozenset(range(0, n, 3)),
+        # distinct prices give every edge its own table; without them
+        # edges of one (invalidates, uses) case share one
+        edge_costs={k: 2 + i for i, k in enumerate(keys)} if priced else None,
+        vertex_costs={v: 10 + v for v in range(n)},
+    )
+    inv = spec.effective_invalidating(cfg)
+    inst = build_lospre(cfg, spec)
+    cases = set()
+    for src, dst in keys:
+        cases.add((src in inv, dst in spec.use))
+        price = spec.edge_cost((src, dst))
+        for lx, ly in itertools.product(range(2), repeat=2):
+            carries = lx == 1 and src not in inv
+            needed = dst in spec.use or ly == 1
+            want = price if needed and not carries else 0
+            assert inst.edge_tables[src, dst][lx, ly] == want
+    assert len(cases) == 4
+    assert inst.vertex_costs.tolist() == [[0, 10 + v] for v in range(n)]
+
+
+def test_lospre_rejects_negative_prices():
+    d = decompose_source("a; b")
+    first = (d.cfg.edges[0].src, d.cfg.edges[0].dst)
+    spec = LospreSpec(use=frozenset({d.cfg.exit}), edge_costs={first: -1})
+    with pytest.raises(ValueError):
+        build_lospre(d.cfg, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,47 @@ def test_rejects_malformed_tables():
         PcspInstance(d.cfg, 2, vertex_costs=np.zeros((4, 3)))
 
 
+@pytest.mark.parametrize("bad", [-1, 0.5, math.nan])
+def test_callable_costs_are_checked_like_tables(bad):
+    d = decompose_source("a")
+    with pytest.raises(ValueError):
+        PcspInstance(d.cfg, 2, edge_costs=lambda e, a, b: bad if (a, b) == (1, 0) else 0)
+    with pytest.raises(ValueError):
+        PcspInstance(d.cfg, 2, vertex_costs=lambda v, a: bad if v == 2 else 0)
+
+
+def test_callable_costs_count_toward_the_overflow_limit():
+    d = decompose_source("a; b")
+    priced = d.cfg.edges[:2]
+    with pytest.raises(solver.CostOverflowError):
+        PcspInstance(d.cfg, 2, edge_costs=lambda e, a, b: 2**52 if e in priced else 0)
+
+
+def test_callable_costs_equal_their_table_form():
+    d = decompose_source("while p do if q then a; break else b fi od")
+
+    def edge(e, a, b):
+        return INFINITY if (a, b) == (2, 0) else (7 * e.src + 3 * e.dst + 2 * a + b) % 5
+
+    def vertex(v, a):
+        return (v + 2 * a) % 4
+
+    called = PcspInstance(d.cfg, 3, edge, vertex)
+    tabled = PcspInstance(
+        d.cfg,
+        3,
+        {
+            (e.src, e.dst): [[edge(e, a, b) for b in range(3)] for a in range(3)]
+            for e in d.cfg.edges
+        },
+        [[vertex(v, a) for a in range(3)] for v in range(d.cfg.vertex_count)],
+    )
+    assert called.edge_tables.keys() == tabled.edge_tables.keys()
+    for key, tab in tabled.edge_tables.items():
+        assert called.edge_tables[key].tolist() == tab.tolist()
+    assert called.vertex_costs.tolist() == tabled.vertex_costs.tolist()
+
+
 def test_rejects_bad_allowed_sets():
     d = decompose_source("a")
     with pytest.raises(ValueError):
@@ -274,13 +315,38 @@ def test_oracle_breaks_ties_lexicographically_large():
     assert sol.assignment == {v: (1 if v == 5 else 0) for v in range(n)}
 
 
-def test_oracle_paths_agree(monkeypatch):
-    d = decompose_source("while p do a; b od")
-    inst = gen.random_instance(d.cfg, 2, seed=7, inf_prob=0.2, restrict_prob=0.3)
-    small = oracle_solve(inst)
-    monkeypatch.setattr(solver, "_SMALL_ORACLE", 0)
-    large = oracle_solve(inst)
-    assert small == large
+def tie_heavy_instances():
+    """Random instances with costs in 0..1, so that many assignments
+    tie, with INFINITY entries and restricted allowed sets."""
+    out = []
+    for seed in range(24):
+        d = decompose(gen.gen_random_program(gen.GenConfig(seed=seed, size=1 + seed % 3)))
+        domain = 3 if 3 ** d.cfg.vertex_count <= 1 << 10 else 2
+        out.append(
+            gen.random_instance(
+                d.cfg, domain, seed=seed, low=0, high=1, inf_prob=0.2, restrict_prob=0.3
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_oracle_witness_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    cfg = decompose_source("a; b; c").cfg
+    never = np.full((2, 2), INFINITY)
+    infeasible = PcspInstance(cfg, 2, {(e.src, e.dst): never for e in cfg.edges})
+    instances = tie_heavy_instances() + [infeasible]
+    want = [oracle_solve(inst) for inst in instances]
+    monkeypatch.setattr(solver, "_CHUNK", chunk)
+    got = [oracle_solve(inst) for inst in instances]
+    assert got == want
+    assert want[-1] == Solution(INFINITY, None)
+    # the lexicographically first minimum, found the slow way
+    for inst, sol in zip(instances, want):
+        if sol.assignment is not None:
+            combos = itertools.product(*inst.allowed)
+            first = min(combos, key=lambda c: evaluate(inst, dict(enumerate(c))))
+            assert sol.assignment == dict(enumerate(first))
 
 
 # ---------------------------------------------------------------------------

@@ -352,3 +352,17 @@ def test_edge_objects_are_immutable():
     e = Edge(0, 1, spl.STMT)
     with pytest.raises(AttributeError):
         e.src = 2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_cfg_json_dumps_writes_what_json_dumps_writes(obj):
+    assert spl.cfg_json_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
