@@ -123,12 +123,11 @@ def random_instance(
     probability ``restrict_prob`` a random non-empty allowed set."""
     rng = np.random.default_rng(seed)
     d, n = domain_size, cfg.vertex_count
-    edge_costs = {}
-    for e in cfg.edges:
-        tab = rng.integers(low, high + 1, size=(d, d)).astype(float)
+    edge_costs = np.empty((len(cfg.edges), d, d))
+    for tab in edge_costs:
+        tab[...] = rng.integers(low, high + 1, size=(d, d))
         if inf_prob > 0:
             tab[rng.random((d, d)) < inf_prob] = INFINITY
-        edge_costs[(e.src, e.dst)] = tab
     vertex_costs = rng.integers(low, high + 1, size=(n, d)).astype(float)
     allowed = {}
     for v in range(n):

@@ -15,7 +15,8 @@ write an explicit ``else skip`` (``skip`` is just another atom).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, fields
 from typing import Iterator, NamedTuple
 
 KEYWORDS = frozenset(
@@ -45,7 +46,32 @@ class EmptyInputError(ProgramSyntaxError):
 # parse trees
 
 
-@dataclass(frozen=True)
+# Every parse-tree class takes ``==``, ``hash`` and ``repr`` from
+# `Stmt`, which walk the tree with an explicit stack and give what the
+# generated dataclass methods give; those recurse once per nesting
+# level, so a deep program would raise RecursionError.
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@functools.cache
+def _compared(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.compare)
+
+
+class _Hashed:
+    """Stands in for a subtree whose hash is known, so a tuple holding
+    it hashes like the tuple holding the subtree."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+@_node
 class Stmt:
     """Base class for parse-tree nodes.
 
@@ -55,38 +81,90 @@ class Stmt:
 
     span: Span = field(default=(1, 1), compare=False, kw_only=True)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, Stmt) or isinstance(b, Stmt):
+                if a.__class__ is not b.__class__:
+                    return False
+                names = _compared(a.__class__)
+                stack.extend(zip([getattr(a, n) for n in names], [getattr(b, n) for n in names]))
+            elif not a == b:
+                return False
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        # children first: a node hashes as the tuple of its compared
+        # fields, with each subtree's hash standing in for the subtree
+        known: dict[int, int] = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            values = [getattr(node, n) for n in _compared(node.__class__)]
+            pending = [v for v in values if isinstance(v, Stmt) and id(v) not in known]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            known[id(node)] = hash(
+                tuple(_Hashed(known[id(v)]) if isinstance(v, Stmt) else v for v in values)
+            )
+        return known[id(self)]
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Stmt):
+                out.append(item)
+                continue
+            pieces: list = [f"{item.__class__.__qualname__}("]
+            for i, f in enumerate(fields(item)):
+                value = getattr(item, f.name)
+                pieces.append(f"{', ' if i else ''}{f.name}=")
+                pieces.append(value if isinstance(value, Stmt) else repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(out)
+
+
+@_node
 class Epsilon(Stmt):
     """An opaque atomic statement such as ``x := x - y``."""
 
     text: str
 
 
-@dataclass(frozen=True)
+@_node
 class Break(Stmt):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Continue(Stmt):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Stmt):
     left: "Stmt"
     right: "Stmt"
 
 
-@dataclass(frozen=True)
+@_node
 class If(Stmt):
     guard: str
     then_branch: "Stmt"
     else_branch: "Stmt"
 
 
-@dataclass(frozen=True)
+@_node
 class While(Stmt):
     guard: str
     body: "Stmt"

@@ -14,13 +14,19 @@ and the answer is exact.  `oracle_solve` does the same by exhaustive
 enumeration, in numpy chunks of `_CHUNK` assignments, and exists to
 cross-check the solver on small instances.
 
-An instance holds tables only.  The problem builders emit them
-directly; a callable cost is an adapter that `PcspInstance` tabulates
-first and then checks like any table.
+An instance holds tables only, in one store: a read-only (k, d, d)
+stack of the distinct edge tables and a map from edge key to row, so
+edges given one table object share a row.  The whole stack is checked
+at once.  The problem builders emit shared tables directly,
+`instance_from_json` hands its checked lists over in one piece, and a
+callable cost is an adapter that `PcspInstance` tabulates first and
+then checks like any table.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -73,9 +79,17 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def _validate_table(arr: np.ndarray, what: str) -> np.ndarray:
-    """Check that ``arr`` holds costs; return it with INFINITY as 0,
-    so callers can take the largest finite entries from the result."""
+def _floats(costs) -> np.ndarray:
+    """``costs`` as a new float64 array; an integer past float range
+    is refused like any total past 2**52."""
+    try:
+        return np.array(costs, dtype=float)
+    except OverflowError:
+        raise CostOverflowError("a cost is too large for a float64") from None
+
+
+def _validate_table(arr: np.ndarray, what: str) -> None:
+    """Raise the ValueError that says why ``arr`` does not hold costs."""
     if not (arr >= 0).all():
         if np.isnan(arr).any():
             raise ValueError(f"{what}: NaN is not a cost")
@@ -83,25 +97,59 @@ def _validate_table(arr: np.ndarray, what: str) -> np.ndarray:
     finite = np.where(np.isinf(arr), 0.0, arr)
     if not (np.floor(finite) == finite).all():
         raise ValueError(f"{what}: finite costs must be integers")
-    return finite
+
+
+def _check_square(tables, key: Callable[[int], tuple[int, int]], d: int) -> None:
+    """Raise a ValueError naming the first of ``tables`` that is not a
+    d x d table; return if there is none."""
+    for i, tab in enumerate(tables):
+        try:
+            square = np.shape(tab) == (d, d)
+        except ValueError:
+            square = False
+        if not square:
+            raise ValueError(f"edge table {key(i)} must be {d}x{d}")
+
+
+def _highs(arr: np.ndarray, what: Callable[[int], str]) -> list[int]:
+    """The largest finite cost of each ``arr[i]``, as exact ints, after
+    checking the array about ``_BLOCK`` elements at a time, so the
+    check's temporaries stay small; an error names the first bad
+    ``what(i)``."""
+    step = max(1, _BLOCK // math.prod(arr.shape[1:]))
+    for lo in range(0, len(arr), step):
+        block = arr[lo : lo + step]
+        if not ((block >= 0).all() and (np.floor(block) == block).all()):
+            for i, item in enumerate(block, lo):
+                _validate_table(item, what(i))
+    axes = tuple(range(1, arr.ndim))
+    return list(map(int, arr.max(axis=axes, where=np.isfinite(arr), initial=0.0).tolist()))
 
 
 class PcspInstance:
     """Costs and allowed sets for one graph.
 
-    ``edge_costs`` may be a mapping from (src, dst) to a d x d table,
-    None for all-zero, or a callable ``f(edge, a, b)`` that is
+    ``edge_costs`` may be a mapping from (src, dst) to a d x d table
+    (edges left out cost nothing), an (E, d, d) array in ``cfg.edges``
+    order, None for all-zero, or a callable ``f(edge, a, b)`` that is
     tabulated first.  ``vertex_costs`` may be an (n, d) array, a
     mapping from vertex to a length-d vector, None, or a callable
     ``f(v, a)`` that is tabulated first.  ``allowed`` maps vertices to
     non-empty subsets of the domain; unlisted vertices allow everything.
+
+    The edge costs are stored once: ``edge_stack`` is a read-only
+    (k, d, d) array of distinct tables, and ``edge_rows`` maps every
+    edge key, in ``cfg.edges`` order, to its row.  Edges given one
+    table object share a row, so builders that reuse a few tables keep
+    k small; the array form gives every edge its own row.
+    ``edge_tables`` maps each key to a read-only view of its row.
     """
 
     def __init__(
         self,
         cfg: Cfg,
         domain_size: int,
-        edge_costs: Callable | Mapping | None = None,
+        edge_costs: Callable | Mapping | np.ndarray | None = None,
         vertex_costs: Callable | Mapping | np.ndarray | None = None,
         allowed: Mapping | None = None,
     ):
@@ -116,51 +164,55 @@ class PcspInstance:
         # tables like any others
         if callable(edge_costs):
             f = edge_costs
-            edge_costs = {
-                (e.src, e.dst): np.array(
-                    [[f(e, a, b) for b in range(d)] for a in range(d)], dtype=float
-                )
-                for e in cfg.edges
-            }
+            edge_costs = [[[f(e, a, b) for b in range(d)] for a in range(d)] for e in cfg.edges]
         if callable(vertex_costs):
             f = vertex_costs
-            vertex_costs = np.array(
-                [[f(v, a) for a in range(d)] for v in range(n)], dtype=float
-            ).reshape(n, d)
+            vertex_costs = _floats([[f(v, a) for a in range(d)] for v in range(n)]).reshape(n, d)
 
-        zero = np.zeros((d, d))
-        zero.setflags(write=False)
-        tables: dict[tuple[int, int], np.ndarray] = {}
-        # the largest finite cost of every edge and vertex, added up
-        worst = 0
         if edge_costs is None:
-            tables = {k: zero for k in keys}
-        else:
+            edge_costs = {}
+        if isinstance(edge_costs, Mapping):
             extra = set(edge_costs) - set(keys)
             if extra:
                 raise InstanceMismatchError(
                     f"edge costs given for non-edges: {sorted(extra)[:4]}"
                 )
-            # builders often give every edge one table object: copy,
-            # validate and reduce each distinct object once.  The memo
-            # holds the object so its id cannot be reused meanwhile.
-            seen: dict[int, tuple[object, np.ndarray, int]] = {}
+            # one row per distinct table object, edges left out sharing
+            # `zero`; `given` holds the objects, so no id is reused
+            # meanwhile
+            zero = np.zeros((d, d))
+            given: list = []
+            row_of: dict[int, int] = {}
+            rows = []
             for k in keys:
-                if k not in edge_costs:
-                    tables[k] = zero
-                    continue
-                given = edge_costs[k]
-                hit = seen.get(id(given))
-                if hit is None:
-                    tab = np.array(given, dtype=float)
-                    if tab.shape != (d, d):
-                        raise ValueError(f"edge table {k} must be {d}x{d}")
-                    high = int(_validate_table(tab, f"edge {k}").max())
-                    tab.setflags(write=False)
-                    hit = seen[id(given)] = (given, tab, high)
-                tables[k] = hit[1]
-                worst += hit[2]
-        self.edge_tables = tables
+                tab = edge_costs.get(k, zero)
+                r = row_of.setdefault(id(tab), len(given))
+                if r == len(given):
+                    given.append(tab)
+                rows.append(r)
+            shape = (len(given), d, d)
+        else:
+            given = edge_costs
+            rows = range(len(keys))
+            shape = (len(keys), d, d)
+
+        def key(r: int) -> tuple[int, int]:
+            return keys[rows.index(r)]
+
+        try:
+            stack = _floats(given) if len(given) else np.zeros((0, d, d))
+        except ValueError:
+            _check_square(given, key, d)
+            raise
+        if stack.shape != shape:
+            _check_square(given, key, d)
+            raise ValueError(f"edge costs must be {len(keys)}x{d}x{d}")
+        # the largest finite cost of every edge and vertex, added up
+        uses = np.bincount(np.asarray(rows, dtype=np.intp), minlength=len(stack))
+        worst = sum(map(operator.mul, _highs(stack, lambda r: f"edge {key(r)}"), uses.tolist()))
+        stack.setflags(write=False)
+        self.edge_stack = stack
+        self.edge_rows = dict(zip(keys, rows))
 
         if vertex_costs is None:
             vt = np.zeros((n, d))
@@ -169,14 +221,12 @@ class PcspInstance:
             for v, row in vertex_costs.items():
                 if not 0 <= v < n:
                     raise InstanceMismatchError(f"vertex cost for unknown vertex {v}")
-                vt[v] = np.array(row, dtype=float)
+                vt[v] = _floats(row)
         else:
-            vt = np.array(vertex_costs, dtype=float)
+            vt = _floats(vertex_costs)
             if vt.shape != (n, d):
                 raise ValueError(f"vertex costs must be {n}x{d}")
-        # a float64 sum of non-negative integers is exact up to 2**53, so
-        # it only rounds where the total is far past the limit anyway
-        worst += int(_validate_table(vt, "vertex costs").max(axis=1).sum())
+        worst += sum(_highs(vt, lambda v: f"vertex {v} costs"))
         if worst > _COST_LIMIT:
             raise CostOverflowError(
                 f"finite costs can add up to {worst}, more than 2**52: "
@@ -185,31 +235,42 @@ class PcspInstance:
         vt.setflags(write=False)
         self.vertex_costs = vt
 
-        sets: list[tuple[int, ...]] = []
         if allowed is None:
             allowed = {}
-        for v in range(n):
-            if v in allowed:
-                vals = sorted(set(int(a) for a in allowed[v]))
-                if not vals:
-                    raise ValueError(f"allowed set for vertex {v} is empty")
-                if vals[0] < 0 or vals[-1] >= d:
-                    raise ValueError(f"allowed set for vertex {v} leaves the domain")
-                sets.append(tuple(vals))
-            else:
-                sets.append(tuple(range(d)))
         unknown = set(allowed) - set(range(n))
         if unknown:
             raise InstanceMismatchError(
                 f"allowed sets for unknown vertices: {sorted(unknown)[:4]}"
             )
-        self.allowed = tuple(sets)
-        self._allowed_sets = tuple(frozenset(s) for s in sets)
-        mask = np.full((n, d), INFINITY)
-        for v, vals in enumerate(sets):
-            mask[v, list(vals)] = 0.0
+        # only restricted vertices touch the sets and the mask
+        full = tuple(range(d))
+        sets = [full] * n
+        restricted = sorted(map(int, allowed))
+        for v in restricted:
+            vals = sorted(set(int(a) for a in allowed[v]))
+            if not vals:
+                raise ValueError(f"allowed set for vertex {v} is empty")
+            if vals[0] < 0 or vals[-1] >= d:
+                raise ValueError(f"allowed set for vertex {v} leaves the domain")
+            sets[v] = tuple(vals)
+        mask = np.zeros((n, d))
+        mask[restricted] = INFINITY
+        mask[
+            np.repeat(np.array(restricted, dtype=np.intp), [len(sets[v]) for v in restricted]),
+            np.fromiter(itertools.chain.from_iterable(sets[v] for v in restricted), np.intp),
+        ] = 0.0
         mask.setflags(write=False)
         self.allowed_mask = mask
+        self.allowed = tuple(sets)
+        everything = frozenset(full)
+        self._allowed_sets = tuple(everything if s is full else frozenset(s) for s in sets)
+
+    @functools.cached_property
+    def edge_tables(self) -> dict[tuple[int, int], np.ndarray]:
+        """Edge key -> its (d, d) table, a read-only view of its row of
+        ``edge_stack``; keys that share a row share one view."""
+        views = list(self.edge_stack)
+        return {k: views[r] for k, r in self.edge_rows.items()}
 
     @property
     def vertex_count(self) -> int:
@@ -251,8 +312,9 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
         if vals[v] not in instance._allowed_sets[v]:
             return INFINITY
         total += instance.vertex_costs[v, vals[v]]
-    for (src, dst), tab in instance.edge_tables.items():
-        total += tab[vals[src], vals[dst]]
+    stack = instance.edge_stack
+    for (src, dst), r in instance.edge_rows.items():
+        total += stack[r, vals[src], vals[dst]]
     return INFINITY if math.isinf(total) else int(total)
 
 
@@ -326,15 +388,18 @@ def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
     am = instance.allowed_mask
     vt = instance.vertex_costs
     vm = vt + am
-    et = instance.edge_tables
+    stack, rows = instance.edge_stack, instance.edge_rows
     nodes = decomp.nodes
     tables: list[np.ndarray | None] = [None] * len(nodes)
     choices: list = [None] * len(nodes)
     one = np.min_scalar_type(d - 1)
     pair = np.min_scalar_type(d * d - 1)
 
+    def et(src: int, dst: int) -> np.ndarray:
+        return stack[rows[src, dst]]
+
     def atom(src: int, dst: int) -> np.ndarray:
-        return et[(src, dst)] + am[src][:, None] + am[dst][None, :]
+        return et(src, dst) + am[src][:, None] + am[dst][None, :]
 
     # a loop builds its intermediates in this function, so they are
     # freed on return instead of staying bound while later nodes run
@@ -342,10 +407,10 @@ def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
         cs, ct, cb, cc = child_specials
         # each child special's vertex cost and mask ride on the edge
         # table it meets, whatever the length of its axis in w
-        enter = et[(S, cs)] + vm[cs][None, :]
-        back_t = et[(ct, S)] + vm[ct][:, None]
-        back_c = et[(cc, S)] + vm[cc][:, None]
-        exit_b = et[(cb, T)] + vm[cb][:, None]
+        enter = et(S, cs) + vm[cs][None, :]
+        back_t = et(ct, S) + vm[ct][:, None]
+        back_c = et(cc, S) + vm[cc][:, None]
+        exit_b = et(cb, T) + vm[cb][:, None]
         # axes: the loop's S value, then the child's B, T, C and S
         # values; each step reduces the last axis
         arg_s, x = _min_argmin(enter[:, None, None, None, :], w.transpose(2, 1, 3, 0)[None], 4, one)
@@ -384,7 +449,7 @@ def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
             # impossible anyway
             with np.errstate(invalid="ignore"):
                 for src, dst in node.duplicates:
-                    tab = et[(src, dst)]
+                    tab = et(src, dst)
                     if dst == T:
                         dp = dp - tab[:, :, None, None]
                     elif dst == B:
@@ -514,6 +579,7 @@ def oracle_solve(
         weights[v] = weights[v + 1] * radices[v + 1]
     arrays = [np.array(vals, dtype=np.int64) for vals in allowed]
     vt = instance.vertex_costs
+    stack = instance.edge_stack
     best = INFINITY
     best_k = -1
     for lo in range(0, combos, _CHUNK):
@@ -523,8 +589,8 @@ def oracle_solve(
         cost = np.zeros(hi - lo)
         for v in range(n):
             cost += vt[v][vals[v]]
-        for (src, dst), tab in instance.edge_tables.items():
-            cost += tab[vals[src], vals[dst]]
+        for (src, dst), r in instance.edge_rows.items():
+            cost += stack[r][vals[src], vals[dst]]
         j = int(np.argmin(cost))
         c = float(cost[j])
         if c < best:
@@ -542,10 +608,9 @@ def as_csp(instance: PcspInstance) -> PcspInstance:
     """Hard-constraint version: every positive cost becomes INFINITY,
     so the minimum is 0 exactly when the original hard+positive
     constraints are simultaneously avoidable."""
-    edges = {
-        k: np.where(tab > 0, INFINITY, 0.0)
-        for k, tab in instance.edge_tables.items()
-    }
+    # shared rows stay shared
+    hard = list(np.where(instance.edge_stack > 0, INFINITY, 0.0))
+    edges = {k: hard[r] for k, r in instance.edge_rows.items()}
     vertex = np.where(instance.vertex_costs > 0, INFINITY, 0.0)
     allowed = {v: vals for v, vals in enumerate(instance.allowed)}
     return PcspInstance(instance.cfg, instance.d, edges, vertex, allowed)
@@ -555,62 +620,99 @@ def as_csp(instance: PcspInstance) -> PcspInstance:
 # serialization
 
 
+def _check_costs(rows: list) -> None:
+    """Refuse any cell of ``rows`` (lists of costs) other than an int
+    or the string "inf", the two forms a JSON cost takes; `np.array`
+    alone would also take True, 1.5, "nan", " 2" or "-inf".  Each pass
+    streams the cells in C."""
+    cells = itertools.chain.from_iterable
+    kinds = set(map(type, cells(rows)))
+    if kinds <= {int, str}:
+        if str not in kinds:
+            return
+        # with no bools or floats about, the cells that are not ints
+        # are the strings
+        if set(itertools.filterfalse(int.__instancecheck__, cells(rows))) == {"inf"}:
+            return
+    bad = next(x for x in cells(rows) if type(x) is not int and not (type(x) is str and x == "inf"))
+    raise ValueError(f"costs are integers or \"inf\", got {bad!r}")
+
+
 def _cost_from_json(x) -> float:
-    if x == "inf":
-        return INFINITY
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"costs are integers or \"inf\", got {x!r}")
-    return float(x)
+    _check_costs([[x]])
+    return float(_floats(x))
 
 
-def _cost_to_json(x: float):
-    return "inf" if math.isinf(x) else int(x)
+def _costs_to_json(arr: np.ndarray) -> list:
+    """``arr`` as nested lists of ints, with "inf" for INFINITY; a
+    valid instance's finite costs fit an int64."""
+    inf = np.isinf(arr)
+    out = np.where(inf, 0.0, arr).astype(np.int64).astype(object)
+    out[inf] = "inf"
+    return out.tolist()
 
 
-def _model_table(model: dict, d: int, order: int) -> np.ndarray:
+def _model_costs(model: dict, cfg: Cfg, d: int) -> Mapping | np.ndarray:
+    """The edge costs of a cost model: one table shared by every edge,
+    or an (E, d, d) array for ``random``, whose edge ``order`` draws
+    from ``default_rng((seed, order))``."""
     kind = model.get("model")
-    if kind == "constant":
-        return np.full((d, d), _cost_from_json(model.get("cost", 0)))
-    if kind == "disagree":
-        c = _cost_from_json(model.get("cost", 1))
-        return np.where(np.eye(d, dtype=bool), 0.0, c)
-    if kind == "equal":
-        c = _cost_from_json(model.get("cost", 1))
-        return np.where(np.eye(d, dtype=bool), c, 0.0)
     if kind == "random":
         low = int(model.get("low", 0))
         high = int(model.get("high", 10))
         inf_prob = float(model.get("inf_prob", 0.0))
         seed = int(model.get("seed", 0))
-        rng = np.random.default_rng((seed, order))
-        tab = rng.integers(low, high + 1, size=(d, d)).astype(float)
-        if inf_prob > 0:
-            tab[rng.random((d, d)) < inf_prob] = INFINITY
-        return tab
-    raise ValueError(f"unknown edge cost model: {kind!r}")
+        out = np.empty((len(cfg.edges), d, d))
+        for order, tab in enumerate(out):
+            rng = np.random.default_rng((seed, order))
+            tab[...] = rng.integers(low, high + 1, size=(d, d))
+            if inf_prob > 0:
+                tab[rng.random((d, d)) < inf_prob] = INFINITY
+        return out
+    if kind == "constant":
+        tab = np.full((d, d), _cost_from_json(model.get("cost", 0)))
+    elif kind == "disagree":
+        tab = np.where(np.eye(d, dtype=bool), 0.0, _cost_from_json(model.get("cost", 1)))
+    elif kind == "equal":
+        tab = np.where(np.eye(d, dtype=bool), _cost_from_json(model.get("cost", 1)), 0.0)
+    else:
+        raise ValueError(f"unknown edge cost model: {kind!r}")
+    return {(e.src, e.dst): tab for e in cfg.edges}
 
 
 def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
-    """Build an instance from its JSON form (see README for models)."""
+    """Build an instance from its JSON form (see README for models).
+
+    Explicit tables have their cells checked in a few passes over the
+    parsed lists and are handed on in ``cfg.edges`` order, so
+    `PcspInstance` converts them in one `np.array` call; the last table
+    given for an edge wins, and edges left out cost nothing."""
     d = int(obj["domain_size"])
     ec = obj.get("edge_costs")
-    edge_costs: Mapping | None
+    edge_costs: Mapping | list | np.ndarray | None
     if ec is None:
         edge_costs = None
     elif isinstance(ec, dict):
-        edge_costs = {
-            (e.src, e.dst): _model_table(ec, d, order)
-            for order, e in enumerate(cfg.edges)
-        }
+        edge_costs = _model_costs(ec, cfg, d)
     else:
-        edge_costs = {}
-        for item in ec:
-            key = (int(item["src"]), int(item["dst"]))
-            edge_costs[key] = np.array(
-                [[_cost_from_json(x) for x in row] for row in item["table"]]
+        keys = [(int(item["src"]), int(item["dst"])) for item in ec]
+        tables = [item["table"] for item in ec]
+        try:
+            _check_costs(list(itertools.chain.from_iterable(tables)))
+        except (TypeError, ValueError):
+            # a table that is no d x d table at all says so first
+            _check_square(tables, keys.__getitem__, d)
+            raise
+        by_key = dict(zip(keys, tables))
+        extra = by_key.keys() - cfg.edge_map.keys()
+        if extra:
+            raise InstanceMismatchError(
+                f"edge costs given for non-edges: {sorted(extra)[:4]}"
             )
+        zero = [[0] * d] * d
+        edge_costs = [by_key.get((e.src, e.dst), zero) for e in cfg.edges]
     vc = obj.get("vertex_costs")
-    vertex_costs: np.ndarray | dict | None
+    vertex_costs: list | dict | np.ndarray | None
     if vc is None:
         vertex_costs = None
     elif isinstance(vc, dict):
@@ -620,11 +722,12 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
             (cfg.vertex_count, d), _cost_from_json(vc.get("cost", 0))
         )
     elif vc and isinstance(vc[0], dict):
-        vertex_costs = {
-            int(item["v"]): [_cost_from_json(x) for x in item["costs"]] for item in vc
-        }
+        rows = [item["costs"] for item in vc]
+        _check_costs(rows)
+        vertex_costs = {int(item["v"]): row for item, row in zip(vc, rows)}
     else:
-        vertex_costs = np.array([[_cost_from_json(x) for x in row] for row in vc])
+        _check_costs(vc)
+        vertex_costs = vc
     allowed = None
     if "allowed" in obj and obj["allowed"] is not None:
         allowed = {int(v): list(vals) for v, vals in obj["allowed"].items()}
@@ -632,20 +735,16 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
 
 
 def instance_to_json(instance: PcspInstance) -> dict:
+    rows = instance.edge_rows
+    tables = _costs_to_json(instance.edge_stack[list(rows.values())])
     edges = [
-        {
-            "src": src,
-            "dst": dst,
-            "table": [[_cost_to_json(x) for x in row] for row in tab.tolist()],
-        }
-        for (src, dst), tab in instance.edge_tables.items()
+        {"src": src, "dst": dst, "table": tab}
+        for (src, dst), tab in zip(rows, tables)
     ]
     out: dict = {
         "domain_size": instance.d,
         "edge_costs": edges,
-        "vertex_costs": [
-            [_cost_to_json(x) for x in row] for row in instance.vertex_costs.tolist()
-        ],
+        "vertex_costs": _costs_to_json(instance.vertex_costs),
     }
     restricted = {
         str(v): list(vals)

@@ -190,6 +190,23 @@ def test_solve_refuses_inexact_costs(program, capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "costs",
+    [
+        {"edge_costs": [{"src": 0, "dst": 1, "table": [[10**400, 0], [0, 0]]}]},
+        {"vertex_costs": [[0, 0], [0, 10**400], [0, 0], [0, 0]]},
+    ],
+)
+def test_solve_refuses_costs_past_float_range(program, capsys, tmp_path, costs):
+    path = program("a")
+    inst = instance_file(tmp_path, {"domain_size": 2, **costs})
+    rc, out, err = run(capsys, "solve", path, "--instance", inst)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and "float64" in err
+    assert "Traceback" not in err
+
+
 def test_solve_oracle_mismatch_exit_code(program, capsys, tmp_path, monkeypatch):
     path = program("a")
     inst = instance_file(tmp_path, {"domain_size": 2})

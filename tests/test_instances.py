@@ -524,3 +524,21 @@ def test_coloring_on_decomposed_cfg_matches_oracle():
     d = decompose_source("while p do if q then a; b else c fi od")
     inst = build_graph_coloring(d.cfg, 2)
     assert solve(inst, d).min_cost == oracle_solve(inst).min_cost
+
+
+def test_builders_store_one_row_per_distinct_table():
+    d = decompose_source(BANK_PROGRAM)
+    bank = build_bank_selection(d.cfg, BankSpec(2, c0=1, c1=3))
+    assert any(e.taken for e in d.cfg.edges)
+    assert bank.edge_stack.shape == (2, 3, 3)
+    d = decompose_source(REGALLOC_PROGRAM)
+    first = d.cfg.edges[0]
+    regalloc = build_regalloc(d.cfg, RegAllocSpec({"x": frozenset({first.src, first.dst})}, 1))
+    assert len(regalloc.edge_stack) == 1
+    assert len(build_graph_coloring(d.cfg, 3).edge_stack) == 1
+    d = decompose_source(LOSPRE_PROGRAM)
+    spec = LospreSpec(use=frozenset({2, 4}))
+    lospre = build_lospre(d.cfg, spec)
+    inv = spec.effective_invalidating(d.cfg)
+    rules = {(e.src in inv, e.dst in spec.use) for e in d.cfg.edges}
+    assert len(lospre.edge_stack) == len(rules)

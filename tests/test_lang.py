@@ -205,6 +205,38 @@ def test_deep_if_nesting_round_trips():
     assert pretty_print(parsed) == text
 
 
+def _nest(depth, leaf):
+    tree = leaf
+    for _ in range(depth):
+        tree = While("c", tree)
+    return tree
+
+
+def test_deep_trees_compare_hash_and_print():
+    depth = 2000
+    tree = _nest(depth, Epsilon("x"))
+    parsed = parse_program("while c do " * depth + "x" + " od" * depth)
+    assert parsed == tree and not parsed != tree
+    assert hash(parsed) == hash(tree)
+    assert tree != _nest(depth, Epsilon("y"))
+    assert tree != _nest(depth, Break())
+    assert tree != _nest(depth - 1, Epsilon("x"))
+    assert {tree: 1}[parsed] == 1
+    assert repr(tree) == (
+        "While(span=(1, 1), guard='c', body=" * depth
+        + "Epsilon(span=(1, 1), text='x')"
+        + ")" * depth
+    )
+    # the same hash and text as the generated dataclass methods give,
+    # checked where those do not recurse too deep
+    shallow = _nest(3, Seq(Epsilon("x"), If("g", Break(), Continue(span=(2, 5)))))
+    assert hash(shallow) == hash(("c", _nest(2, shallow.body.body.body)))
+    assert repr(shallow.body.body.body) == (
+        "Seq(span=(1, 1), left=Epsilon(span=(1, 1), text='x'), right=If(span=(1, 1), "
+        "guard='g', then_branch=Break(span=(1, 1)), else_branch=Continue(span=(2, 5))))"
+    )
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -788,3 +789,214 @@ def test_instance_json_rejects_junk():
                 {"src": 0, "dst": 1, "table": [[0, 0.5], [0, 0]]}
             ]},
         )
+
+
+# ---------------------------------------------------------------------------
+# the stacked edge-cost store
+
+
+def test_array_form_equals_mapping_form():
+    d = decompose_source("while p do if q then a; break else b fi od; c")
+    keys = [(e.src, e.dst) for e in d.cfg.edges]
+    rng = np.random.default_rng(3)
+    stack = rng.integers(0, 9, size=(len(keys), 3, 3)).astype(float)
+    stack[rng.random(stack.shape) < 0.2] = INFINITY
+    by_array = PcspInstance(d.cfg, 3, stack, allowed={1: [0, 2]})
+    by_key = PcspInstance(d.cfg, 3, dict(zip(keys, stack.tolist())), allowed={1: [0, 2]})
+    assert by_array.edge_stack.shape == (len(keys), 3, 3)
+    assert list(by_array.edge_rows) == keys
+    for k in keys:
+        assert by_array.edge_tables[k].tolist() == by_key.edge_tables[k].tolist()
+    assert solve(by_array, d) == solve(by_key, d) == oracle_solve(by_key)
+    # the instance holds its own copy
+    stack[0, 0, 0] = 99.0
+    assert by_array.edge_stack[0, 0, 0] != 99.0
+    assert not by_array.edge_stack.flags.writeable
+    with pytest.raises(ValueError, match=r"edge costs must be \d+x3x3"):
+        PcspInstance(d.cfg, 3, stack[:-1])
+    with pytest.raises(ValueError, match=re.escape(f"edge table {keys[1]} must be 3x3")):
+        PcspInstance(d.cfg, 3, [t if i != 1 else t[:2] for i, t in enumerate(stack.tolist())])
+
+
+def test_shared_tables_share_one_row():
+    d = decompose_source("a; b; c; d")
+    keys = [(e.src, e.dst) for e in d.cfg.edges]
+    shared = [[0, 1], [1, 0]]
+    inst = PcspInstance(d.cfg, 2, {k: shared for k in keys[1:]})
+    # the edge left out gets its own zero row
+    assert inst.edge_stack.shape == (2, 2, 2)
+    assert inst.edge_rows == {keys[0]: 0, **{k: 1 for k in keys[1:]}}
+    assert inst.edge_tables[keys[0]].tolist() == [[0, 0], [0, 0]]
+    assert PcspInstance(d.cfg, 2).edge_stack.shape == (1, 2, 2)
+
+
+def test_malformed_tables_name_their_edge():
+    d = decompose_source("a; b")
+    first, second = [(e.src, e.dst) for e in d.cfg.edges]
+    ok = [[0, 0], [0, 0]]
+    for bad in ([[0, 0], [0]], 5, [[0, 0], [0, 0], [0, 0]], [0, 0], "ab", [[[0, 0], [0, 0]], [0, 0]]):
+        message = re.escape(f"edge table {second} must be 2x2")
+        with pytest.raises(ValueError, match=message):
+            PcspInstance(d.cfg, 2, {first: ok, second: bad})
+        with pytest.raises(ValueError, match=message):
+            instance_from_json(d.cfg, {"domain_size": 2, "edge_costs": [
+                {"src": first[0], "dst": first[1], "table": ok},
+                {"src": second[0], "dst": second[1], "table": bad},
+            ]})
+
+
+def test_validation_errors_name_the_first_bad_edge_or_vertex():
+    d = decompose_source("a; b; c")
+    keys = [(e.src, e.dst) for e in d.cfg.edges]
+    tables = {k: [[0, 1], [2, 0]] for k in keys}
+    tables[keys[2]] = [[0, -1], [0, 0]]
+    tables[keys[1]] = [[0, 0.5], [0, 0]]
+    with pytest.raises(ValueError, match=re.escape(f"edge {keys[1]}: finite costs must be integers")):
+        PcspInstance(d.cfg, 2, tables)
+    tables[keys[1]] = [[math.nan, 0], [0, 0]]
+    with pytest.raises(ValueError, match=re.escape(f"edge {keys[1]}: NaN is not a cost")):
+        PcspInstance(d.cfg, 2, tables)
+    vertex = np.zeros((d.cfg.vertex_count, 2))
+    vertex[3, 1] = -2
+    with pytest.raises(ValueError, match="vertex 3 costs: costs must be non-negative"):
+        PcspInstance(d.cfg, 2, vertex_costs=vertex)
+
+
+def test_integer_past_float_range_is_refused():
+    d = decompose_source("a")
+    with pytest.raises(solver.CostOverflowError):
+        PcspInstance(d.cfg, 2, {(0, 1): [[10**400, 0], [0, 0]]})
+    with pytest.raises(solver.CostOverflowError):
+        PcspInstance(d.cfg, 2, vertex_costs={1: [0, 10**400]})
+    for obj in (
+        {"edge_costs": [{"src": 0, "dst": 1, "table": [[0, 10**400], [0, 0]]}]},
+        {"vertex_costs": [[0, 0], [10**400, 0], [0, 0], [0, 0]]},
+        {"vertex_costs": [{"v": 2, "costs": [0, 10**400]}]},
+        {"edge_costs": {"model": "constant", "cost": 10**400}},
+        {"vertex_costs": {"model": "constant", "cost": 10**400}},
+    ):
+        with pytest.raises(solver.CostOverflowError):
+            instance_from_json(d.cfg, {"domain_size": 2, **obj})
+
+
+# ---------------------------------------------------------------------------
+# decoding instance JSON, against a per-cell reference
+
+
+def _reference_cost(x):
+    if x == "inf":
+        return INFINITY
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"costs are integers or \"inf\", got {x!r}")
+    return float(x)
+
+
+def _random_instance_json(rng, cfg, d):
+    """Explicit tables with "inf" cells, some edges left out and some
+    given twice, vertex costs in either list form, restricted sets."""
+    def table(high):
+        return [[rng.choice(["inf", 0, 1, 2, high]) for _ in range(d)] for _ in range(d)]
+
+    items = []
+    for e in cfg.edges:
+        for _ in range(rng.choice([0, 1, 1, 1, 2])):
+            items.append({"src": e.src, "dst": e.dst, "table": table(rng.randrange(3, 50))})
+    rng.shuffle(items)
+    n = cfg.vertex_count
+    if rng.random() < 0.5:
+        vertex = [[rng.randrange(6) for _ in range(d)] for _ in range(n)]
+    else:
+        vertex = [{"v": rng.randrange(n), "costs": [rng.randrange(6) for _ in range(d)]} for _ in range(n // 2)]
+    allowed = {str(v): rng.sample(range(d), rng.randint(1, d)) for v in range(n) if rng.random() < 0.3}
+    return {"domain_size": d, "edge_costs": items, "vertex_costs": vertex, "allowed": allowed}
+
+
+def test_json_decoder_matches_per_cell_reference():
+    import random
+
+    rng = random.Random(7)
+    for trial in range(150):
+        tree = gen.gen_random_program(gen.GenConfig(seed=trial, size=rng.randint(1, 12)))
+        decomp = decompose(tree)
+        cfg = decomp.cfg
+        obj = _random_instance_json(rng, cfg, rng.randint(1, 4))
+        obj = json.loads(json.dumps(obj))
+        d, n = obj["domain_size"], cfg.vertex_count
+        inst = instance_from_json(cfg, obj)
+
+        want = {(e.src, e.dst): [[0.0] * d for _ in range(d)] for e in cfg.edges}
+        for item in obj["edge_costs"]:  # the last table given wins
+            want[item["src"], item["dst"]] = [[_reference_cost(x) for x in row] for row in item["table"]]
+        assert {k: t.tolist() for k, t in inst.edge_tables.items()} == want
+        vertex = [[0.0] * d for _ in range(n)]
+        if obj["vertex_costs"] and isinstance(obj["vertex_costs"][0], dict):
+            for item in obj["vertex_costs"]:
+                vertex[item["v"]] = [_reference_cost(x) for x in item["costs"]]
+        else:
+            vertex = [[_reference_cost(x) for x in row] for row in obj["vertex_costs"]]
+        assert inst.vertex_costs.tolist() == vertex
+        for v in range(n):
+            assert inst.allowed[v] == tuple(sorted(obj["allowed"].get(str(v), range(d))))
+
+        text = json.dumps(instance_to_json(inst))
+        assert json.dumps(instance_to_json(instance_from_json(cfg, json.loads(text)))) == text
+        if n <= 10:
+            got = solve(inst, decomp)
+            assert got.min_cost == oracle_solve(inst).min_cost
+            if got.assignment is not None:
+                assert evaluate(inst, got.assignment) == got.min_cost
+
+
+@pytest.mark.parametrize(
+    "bad", [True, False, 1.0, json.loads("1e400"), "nan", "Infinity", "-inf", " 2", "1.5", "INF", None]
+)
+def test_json_decoder_refuses_what_is_not_an_int_or_inf(bad):
+    d = decompose_source("a")
+    message = 'costs are integers or "inf"'
+    table = [[0, "inf"], [bad, 1]]
+    with pytest.raises(ValueError, match=message):
+        instance_from_json(d.cfg, {"domain_size": 2, "edge_costs": [{"src": 0, "dst": 1, "table": table}]})
+    with pytest.raises(ValueError, match=message):
+        instance_from_json(d.cfg, {"domain_size": 2, "vertex_costs": [[0, 0], [0, bad], [0, 0], [0, 0]]})
+    with pytest.raises(ValueError, match=message):
+        instance_from_json(d.cfg, {"domain_size": 2, "vertex_costs": [{"v": 1, "costs": [bad, 0]}]})
+    with pytest.raises(ValueError, match=message):
+        instance_from_json(d.cfg, {"domain_size": 2, "edge_costs": {"model": "constant", "cost": bad}})
+
+
+def test_random_instance_round_trips_byte_for_byte():
+    for seed in range(20):
+        decomp = decompose(gen.gen_random_program(gen.GenConfig(seed=seed, size=15)))
+        inst = gen.random_instance(decomp.cfg, 1 + seed % 5, seed, inf_prob=0.2, restrict_prob=0.3)
+        text = json.dumps(instance_to_json(inst))
+        back = instance_from_json(decomp.cfg, json.loads(text))
+        assert json.dumps(instance_to_json(back)) == text
+        assert solve(back, decomp) == solve(inst, decomp)
+
+
+def test_json_decoding_keeps_no_list_of_every_cell():
+    # 400 edges at d=10: the stack is 320 KB, and a Python list of all
+    # 40,000 cells would add as much again while the stack is built
+    cfg = decompose_source("; ".join(["a"] * 400)).cfg
+    d = 10
+    rng = np.random.default_rng(0)
+    cells = rng.integers(0, 20, size=(len(cfg.edges), d, d)).tolist()
+    obj = {
+        "domain_size": d,
+        "edge_costs": [
+            {"src": e.src, "dst": e.dst, "table": [["inf" if x == 0 else x for x in row] for row in tab]}
+            for e, tab in zip(cfg.edges, cells)
+        ],
+        "vertex_costs": rng.integers(0, 20, size=(cfg.vertex_count, d)).tolist(),
+    }
+    stack_bytes = len(cfg.edges) * d * d * 8
+    tracemalloc.start()
+    try:
+        inst = instance_from_json(cfg, obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * stack_bytes, f"peak {peak / 1024:.0f} KiB"
+    assert inst.edge_tables[cfg.edges[7].src, cfg.edges[7].dst].tolist() == [
+        [INFINITY if x == 0 else x for x in row] for row in cells[7]
+    ]
