@@ -10,9 +10,12 @@ pass over a decomposition: tables are indexed by the values of a
 subgraph's four special vertices, but only on the specials its edges
 touch.  A node whose subgraph holds no break or continue costs
 O(d**3) and any node at most O(d**5), so the whole run is linear in |G|
-and the answer is exact.  `oracle_solve` does the same by exhaustive
-enumeration, in numpy chunks of `_CHUNK` assignments, and exists to
-cross-check the solver on small instances.
+and the answer is exact.  The pass runs ready nodes of one kind and
+shape together, one stacked numpy call per step, so at small d its
+cost per node is a share of a call rather than a call.
+`oracle_solve` does the same by exhaustive enumeration, in numpy
+chunks of `_CHUNK` assignments, and exists to cross-check the solver
+on small instances.
 
 An instance holds tables only, in one store: a read-only (k, d, d)
 stack of the distinct edge tables and a map from edge key to row, so
@@ -30,6 +33,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Mapping
 
 import numpy as np
@@ -43,9 +47,10 @@ DEFAULT_ORACLE_BUDGET = 1 << 24
 # assignments `oracle_solve` scores per numpy pass
 _CHUNK = 1 << 16
 
-# elements of a series or loop node's widened sum formed at once: a
-# node whose d**5 sum is larger forms it a few rows at a time, so its
-# memory stays near d**4 whatever the program's shape
+# elements of a batch's largest intermediate: the forward pass runs
+# ready nodes of one class together up to this many, and a single node
+# whose d**5 sum is larger forms it a few rows at a time, so its memory
+# stays near d**4 whatever the program's shape
 _BLOCK = 1 << 12
 
 # float64 holds every integer up to 2**53 exactly.  The DP's largest
@@ -109,6 +114,19 @@ def _check_square(tables, key: Callable[[int], tuple[int, int]], d: int) -> None
             square = False
         if not square:
             raise ValueError(f"edge table {key(i)} must be {d}x{d}")
+
+
+def _check_vectors(rows, d: int) -> None:
+    """Raise a ValueError naming the first vertex of ``rows``, (vertex,
+    costs) pairs, whose costs are not d numbers; return if there is
+    none."""
+    for v, row in rows:
+        try:
+            flat = np.shape(row) == (d,)
+        except ValueError:
+            flat = False
+        if not flat:
+            raise ValueError(f"vertex {v} costs must be length {d}")
 
 
 def _highs(arr: np.ndarray, what: Callable[[int], str]) -> list[int]:
@@ -221,10 +239,23 @@ class PcspInstance:
             for v, row in vertex_costs.items():
                 if not 0 <= v < n:
                     raise InstanceMismatchError(f"vertex cost for unknown vertex {v}")
-                vt[v] = _floats(row)
+                try:
+                    vec = _floats(row)
+                except ValueError:
+                    _check_vectors([(v, row)], d)
+                    raise
+                if vec.shape != (d,):
+                    raise ValueError(f"vertex {v} costs must be length {d}")
+                vt[v] = vec
         else:
-            vt = _floats(vertex_costs)
+            try:
+                vt = _floats(vertex_costs)
+            except ValueError:
+                _check_vectors(enumerate(vertex_costs), d)
+                raise
             if vt.shape != (n, d):
+                if vt.ndim:
+                    _check_vectors(enumerate(vertex_costs), d)
                 raise ValueError(f"vertex costs must be {n}x{d}")
         worst += sum(_highs(vt, lambda v: f"vertex {v} costs"))
         if worst > _COST_LIMIT:
@@ -323,34 +354,50 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 #
 # dp[i] is indexed by the values of node i's specials (S, T, B, C) and
 # holds the minimum cost of the node's edges plus the vertex costs of
-# its internal (non-special) vertices.  Vertex costs are charged where
-# a vertex stops being special: at the series merge point, at a loop's
-# child specials, and for the root's own specials in the final minimum.
+# its internal (non-special) vertices.  A vertex's cost and its allowed
+# set, a {0, INFINITY} mask, are charged together where the vertex
+# stops being special: at the series merge point, at a loop's child
+# specials (folded into the edge table each one meets, whatever the
+# length of its axis), and for the root's own specials in the final
+# minimum (choosing a length-1 axis's value on its own, since it meets
+# nothing else).  So a table's entries at a disallowed special value
+# may be finite; the backtrack never reads them, and `dp_tables` adds
+# every special's mask.
 #
 # An axis whose special no edge of the node's subgraph touches has
 # length 1, since the table cannot depend on it; numpy broadcasting
 # widens it where a sibling touches the vertex.  S is always touched;
-# an atom touches S and its one target, a loop S and T (its B and C are
+# a leaf touches S and its one target, a loop S and T (its B and C are
 # fresh), and series and parallel nodes get the broadcast union of
 # their children's shapes.  So a node whose subgraph holds no break or
 # continue edge costs d**3, and d**5 is the worst case (a series node,
 # or a loop's child, whose T, B and C are all touched).
 #
-# Allowed sets are {0, INFINITY} masks, so adding one twice is
-# harmless.  Every full axis carries its vertex's mask, added where an
-# atom or a loop creates the axis; series and parallel merges keep
-# specials aligned, and a series merge point is its right child's S.
-# A length-1 axis's mask is deferred to where its vertex is minimized
-# away: a loop folds the vertex cost and the mask of each child special
-# into the edge table that special meets, and the root's final minimum
-# adds both on all four axes (choosing a length-1 axis's value on its
-# own, since it meets nothing else).
-#
 # A loop's minimization over its child's specials separates, because
 # the exit value meets only the child's B (through the break edge): S,
-# then (T, C), then B.  The backtrack's argmin choices are stored in the
-# smallest unsigned dtype that holds their index range, and read with
-# index 0 on length-1 axes.
+# then (T, C), then B.
+#
+# The pass runs in batches.  A node is ready once its inner children
+# are done; a leaf is never run on its own, since its table is its one
+# edge's row of the edge stack, which its parent gathers in its own
+# batch.  A ready node's class is its kind, its children's table shapes
+# and, at a parallel node, the axis each collapsed edge lands on; the
+# nodes of one class stack into one array per operand, so each numpy
+# call serves the whole batch, with the batch on axis 0 and the reduced
+# value on axis 1.  Each step takes the class of the lowest ready node
+# and runs that class's ready nodes, lowest first, up to `_BLOCK`
+# elements of its largest intermediate; a single node past that forms
+# its sums a few rows at a time.  Following the lowest ready node keeps
+# the pass near post-order, so few finished tables wait for their
+# parents, where height levels would hold every leaf's table at once.
+# Chains of series nodes, each waiting for the one before, set the
+# number of steps.
+#
+# A batch's results stay stacked: tables[i] is a view into its batch's
+# array, and choices[i] is its batch's argmin array (a triple at a
+# loop), read at row ranks[i].  Choices use the smallest unsigned dtype
+# that holds their index range and are read with index 0 on length-1
+# axes.
 
 
 def _check_same_cfg(a: Cfg, b: Cfg) -> None:
@@ -366,108 +413,234 @@ def _at(arr: np.ndarray, *index: int) -> int:
     return arr.item(tuple(map(operator.mod, index, arr.shape)))
 
 
-def _min_argmin(rows: np.ndarray, other: np.ndarray, axis: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """``z.argmin(axis)`` as ``dtype`` and ``z.min(axis)`` of the
-    broadcast sum ``z = rows + other``, where ``other``'s first axis has
-    length 1 and both have the same number of axes.  z is formed a block
-    of ``rows``' first-axis rows at a time: about ``_BLOCK`` elements,
-    or one row if that is more."""
-    step = max(1, _BLOCK // math.prod(map(max, rows.shape[1:], other.shape[1:])))
-    args, mins = [], []
-    for lo in range(0, len(rows), step):
-        z = rows[lo : lo + step] + other
-        args.append(z.argmin(axis=axis).astype(dtype))
-        mins.append(z.min(axis=axis))
-    if len(args) == 1:
-        return args[0], mins[0]
-    return np.concatenate(args), np.concatenate(mins)
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays stacked on a new first axis; a lone array is viewed,
+    not copied, since it may be a widest node's table."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _sum_min(a: np.ndarray, b: np.ndarray, axis: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``z.argmin(1)`` as ``dtype`` and ``z.min(1)`` of the broadcast
+    sum ``z = a + b`` over a batch (axis 0), where ``b`` has length 1
+    on ``axis``.  z is formed a block of ``a``'s rows on ``axis`` at a
+    time: about ``_BLOCK`` elements, or one row if that is more."""
+    rows = a.shape[axis]
+    # z has at most a.size * b.size elements, so small sums skip the
+    # exact count
+    if a.size * b.size > _BLOCK:
+        step = max(1, _BLOCK * rows // math.prod(map(max, a.shape, b.shape)))
+        if step < rows:
+            args, mins = [], []
+            for lo in range(0, rows, step):
+                z = a[(slice(None),) * axis + (slice(lo, lo + step),)] + b
+                args.append(z.argmin(axis=1).astype(dtype))
+                mins.append(np.minimum.reduce(z, axis=1))
+            return np.concatenate(args, axis=axis - 1), np.concatenate(mins, axis=axis - 1)
+    z = a + b
+    return z.argmin(axis=1).astype(dtype), np.minimum.reduce(z, axis=1)
+
+
+# the axis of a leaf's target in its (S, T, B, C) table
+_TARGET_AXIS = {"epsilon": 1, "break": 2, "continue": 3}
+
+
+def _class_of(node, nodes, tables: list, leaf_shapes: dict) -> tuple:
+    """The batch class of a node whose inner children are done: its
+    kind, its children's table shapes and, at a parallel node, the
+    axis each collapsed edge lands on."""
+    kind = node.kind
+    if kind == "loop":
+        (c,) = node.children
+        return kind, tables[c].shape if nodes[c].children else leaf_shapes[nodes[c].kind]
+    if not node.children:
+        return (kind,)
+    if kind != "series" and kind != "parallel":
+        raise ValueError(f"unknown node kind: {kind!r}")
+    left, right = node.children
+    lshape = tables[left].shape if nodes[left].children else leaf_shapes[nodes[left].kind]
+    rshape = tables[right].shape if nodes[right].children else leaf_shapes[nodes[right].kind]
+    if kind == "series":
+        return kind, lshape, rshape
+    axes = ()
+    if node.duplicates:
+        _, T, B, _ = node.specials
+        axes = tuple(1 if dst == T else 2 if dst == B else 3 for _, dst in node.duplicates)
+    return kind, lshape, rshape, axes
+
+
+def _widest(key: tuple, d: int) -> int:
+    """Elements of the largest intermediate that one node of class
+    ``key`` forms."""
+    kind = key[0]
+    if kind == "loop":
+        _, t, b, c = key[1]
+        return d * d * b * max(t * c, d)
+    if kind not in ("series", "parallel"):
+        return d * d
+    (_, lt, lb, lc), (_, rt, rb, rc) = key[1:3]
+    if kind == "series":
+        return d * d * rt * max(lb, rb) * max(lc, rc)
+    return d * max(lt, rt) * max(lb, rb) * max(lc, rc)
 
 
 def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
+    """Each node's table, its batch's choices and its row in them.
+    With ``keep`` every table stays, leaves' too; otherwise a table is
+    dropped once its parent has run."""
     d = instance.d
-    am = instance.allowed_mask
-    vt = instance.vertex_costs
-    vm = vt + am
+    # a vertex's cost and mask, charged together
+    vm = instance.vertex_costs + instance.allowed_mask
     stack, rows = instance.edge_stack, instance.edge_rows
     nodes = decomp.nodes
     tables: list[np.ndarray | None] = [None] * len(nodes)
     choices: list = [None] * len(nodes)
+    ranks = [0] * len(nodes)
     one = np.min_scalar_type(d - 1)
     pair = np.min_scalar_type(d * d - 1)
 
-    def et(src: int, dst: int) -> np.ndarray:
-        return stack[rows[src, dst]]
+    # a leaf's table holds its one edge, on its target's axis
+    leaf_shapes = {"epsilon": (d, d, 1, 1), "break": (d, 1, d, 1), "continue": (d, 1, 1, d)}
 
-    def atom(src: int, dst: int) -> np.ndarray:
-        return et(src, dst) + am[src][:, None] + am[dst][None, :]
+    def leaves(idx, shape):
+        """The stacked tables of leaves ``idx``, of one shape: each
+        leaf's one edge, on its target's axis."""
+        return stack.take([leaf_rows[i] for i in idx], axis=0).reshape(len(idx), *shape)
 
-    # a loop builds its intermediates in this function, so they are
-    # freed on return instead of staying bound while later nodes run
-    def loop(S: int, T: int, w: np.ndarray, child_specials):
-        cs, ct, cb, cc = child_specials
-        # each child special's vertex cost and mask ride on the edge
-        # table it meets, whatever the length of its axis in w
-        enter = et(S, cs) + vm[cs][None, :]
-        back_t = et(ct, S) + vm[ct][:, None]
-        back_c = et(cc, S) + vm[cc][:, None]
-        exit_b = et(cb, T) + vm[cb][:, None]
-        # axes: the loop's S value, then the child's B, T, C and S
-        # values; each step reduces the last axis
-        arg_s, x = _min_argmin(enter[:, None, None, None, :], w.transpose(2, 1, 3, 0)[None], 4, one)
-        x = x + back_t.T[:, None, :, None] + back_c.T[:, None, None, :]
-        x = x.reshape(d, x.shape[1], d * d)
-        arg_tc = x.argmin(axis=2).astype(pair)
-        # (S value, child B value, loop T value)
-        x = x.min(axis=2)[:, :, None] + exit_b[None]
-        arg_b = x.argmin(axis=1).astype(one)
-        core = x.min(axis=1) + atom(S, T)
-        return (arg_s, arg_tc, arg_b), core[:, :, None, None]
+    def child(batch, k, shape):
+        """The stacked tables of the batch's k-th children; leaves are
+        formed here, when they are needed."""
+        idx = [nodes[i].children[k] for i in batch]
+        leaf = [i for i in idx if not nodes[i].children]
+        if not leaf:
+            return _stack([tables[i] for i in idx])
+        tab = leaves(leaf, shape)
+        if keep or len(leaf) < len(idx):
+            for i, t in zip(leaf, tab):
+                tables[i] = t
+        return tab if len(leaf) == len(idx) else _stack([tables[i] for i in idx])
 
-    for i, node in enumerate(nodes):
-        S, T, B, C = node.specials
-        if node.kind == "epsilon":
-            dp = atom(S, T)[:, :, None, None]
-        elif node.kind == "break":
-            dp = atom(S, B)[:, None, :, None]
-        elif node.kind == "continue":
-            dp = atom(S, C)[:, None, None, :]
-        elif node.kind == "series":
-            left, right = node.children
-            # axes: S, the merge point, then T, B and C; the merge
-            # point's cost joins the smaller right operand
-            choices[i], dp = _min_argmin(
-                tables[left][:, :, None],
-                (tables[right] + vt[node.merged][:, None, None, None])[None],
-                1,
-                one,
-            )
-        elif node.kind == "parallel":
-            left, right = node.children
-            dp = tables[left] + tables[right]
-            # both operands carried the collapsed edge's cost: take one
-            # copy back out; inf - inf marks combinations that were
-            # impossible anyway
+    # each kind forms its batch's intermediates in a function, so they
+    # are freed on return instead of staying bound while later batches
+    # run; each returns the batch's stacked tables and its choices
+    def leaf(key, batch):
+        return leaves(batch, leaf_shapes[key[0]]), None
+
+    def series(key, batch):
+        # axes: the merge point, S, then T, B and C; the merge point's
+        # cost and mask join the smaller right operand
+        left = child(batch, 0, key[1]).transpose(0, 2, 1, 3, 4)
+        right = child(batch, 1, key[2]) + vm.take([nodes[i].merged for i in batch], axis=0)[:, :, None, None, None]
+        return _sum_min(left[:, :, :, None], right[:, :, None], 2, one)[::-1]
+
+    def parallel(key, batch):
+        dp = child(batch, 0, key[1]) + child(batch, 1, key[2])
+        # both operands carried each collapsed edge's cost: take one
+        # copy back out; inf - inf marks combinations that were
+        # impossible anyway
+        if key[3]:
+            n = len(batch)
+            dup = stack.take([rows[e] for i in batch for e in nodes[i].duplicates], axis=0)
+            dup = dup.reshape(n, len(key[3]), d, d)
             with np.errstate(invalid="ignore"):
-                for src, dst in node.duplicates:
-                    tab = et(src, dst)
-                    if dst == T:
-                        dp = dp - tab[:, :, None, None]
-                    elif dst == B:
-                        dp = dp - tab[:, None, :, None]
-                    else:
-                        dp = dp - tab[:, None, None, :]
-            if node.duplicates:
-                dp[np.isnan(dp)] = INFINITY
-        elif node.kind == "loop":
-            (child,) = node.children
-            choices[i], dp = loop(S, T, tables[child], nodes[child].specials)
+                for k, axis in enumerate(key[3]):
+                    shape = [n, d, 1, 1, 1]
+                    shape[axis + 1] = d
+                    dp -= dup[:, k].reshape(shape)
+            dp[np.isnan(dp)] = INFINITY
+        return dp, None
+
+    def loop(key, batch):
+        n = len(batch)
+        S = [nodes[i].specials[0] for i in batch]
+        T = [nodes[i].specials[1] for i in batch]
+        cs, ct, cb, cc = map(list, zip(*(nodes[nodes[i].children[0]].specials for i in batch)))
+        # the edges, each (n, d, d): enter S->cs, back ct->S and cc->S,
+        # exit cb->T and the loop's own S->T.  Each child special's
+        # vertex cost and mask ride on the edge table it meets, whatever
+        # the length of its axis in the child's table.
+        keys = [*zip(S, cs), *zip(ct, S), *zip(cc, S), *zip(cb, T), *zip(S, T)]
+        g = stack.take(list(map(rows.__getitem__, keys)), axis=0).reshape(5, n, d, d)
+        enter, back_t, back_c, exit_b, core = g
+        v = vm.take(cs + ct + cc + cb, axis=0).reshape(4, n, d)
+        enter += v[0, :, None, :]
+        g[1:4] += v[1:, :, :, None]
+        # axes: the batch, the reduced value, then the rest; first the
+        # child's S (leaving T, C, the loop's S, B), then the child's
+        # (T, C) pair (leaving S, B), then its B (leaving S and the
+        # loop's T)
+        arg_s, x = _sum_min(
+            enter.transpose(0, 2, 1)[:, :, None, None, :, None],
+            child(batch, 0, key[1]).transpose(0, 1, 2, 4, 3)[:, :, :, :, None, :],
+            4,
+            one,
+        )
+        # both back edges are added into one new array: numpy buffers
+        # each broadcast operand, so a second temporary would cost as
+        # much again
+        b = x.shape[4]
+        x = np.add(x, back_t[:, :, None, :, None], out=np.empty((n, d, d, d, b)))
+        x += back_c[:, None, :, :, None]
+        x = x.reshape(n, d * d, d, b)
+        arg_tc = x.argmin(axis=1).astype(pair)
+        x = np.minimum.reduce(x, axis=1)
+        x = x.transpose(0, 2, 1)[:, :, :, None] + exit_b[:, :, None, :]
+        arg_b = x.argmin(axis=1).astype(one)
+        core = np.minimum.reduce(x, axis=1) + core
+        return core[:, :, :, None, None], (arg_s, arg_tc, arg_b)
+
+    run = {"series": series, "parallel": parallel, "loop": loop}
+    # class -> min-heap of its ready nodes, and the inner children each
+    # node still waits for.  Leaves are not run on their own: their
+    # parents form them (a lone root leaf is its own batch).
+    ready: dict[tuple, list[int]] = {}
+    waiting = [0] * len(nodes)
+    parent = [-1] * len(nodes)
+    # the edge-stack row of each leaf's one edge
+    leaf_rows = [0] * len(nodes)
+    for i, node in enumerate(nodes):
+        if not node.children:
+            axis = _TARGET_AXIS.get(node.kind)
+            if axis is None:
+                raise ValueError(f"unknown node kind: {node.kind!r}")
+            leaf_rows[i] = rows[node.specials[0], node.specials[axis]]
+            continue
+        for c in node.children:
+            parent[c] = i
+            if nodes[c].children:
+                waiting[i] += 1
+        if not waiting[i]:
+            heappush(ready.setdefault(_class_of(node, nodes, tables, leaf_shapes), []), i)
+    if not nodes[-1].children:
+        ready[_class_of(nodes[-1], nodes, tables, leaf_shapes)] = [len(nodes) - 1]
+    caps: dict[tuple, int] = {}
+    # heaps compare by their lowest node
+    lowest = operator.itemgetter(1)
+    while ready:
+        key, heap = min(ready.items(), key=lowest)
+        if key not in caps:
+            caps[key] = max(1, _BLOCK // _widest(key, d))
+        if len(heap) <= caps[key]:
+            batch = heap
+            del ready[key]
         else:
-            raise ValueError(f"unknown node kind: {node.kind!r}")
-        tables[i] = dp
-        if not keep:
-            for c in node.children:
-                tables[c] = None
-    return tables, choices
+            # the lowest first; what is left stays sorted, so a heap
+            heap.sort()
+            batch = heap[: caps[key]]
+            del heap[: caps[key]]
+        dp, picks = run.get(key[0], leaf)(key, batch)
+        for j, i, tab in zip(itertools.count(), batch, dp):
+            tables[i] = tab
+            choices[i] = picks
+            ranks[i] = j
+            if not keep:
+                for c in nodes[i].children:
+                    tables[c] = None
+            p = parent[i]
+            if p >= 0:
+                waiting[p] -= 1
+                if not waiting[p]:
+                    heappush(ready.setdefault(_class_of(nodes[p], nodes, tables, leaf_shapes), []), p)
+    return tables, choices, ranks
 
 
 def dp_tables(instance: PcspInstance, decomp: Decomposition) -> list[np.ndarray]:
@@ -475,7 +648,7 @@ def dp_tables(instance: PcspInstance, decomp: Decomposition) -> list[np.ndarray]
     (d, d, d, d) with every special's allowed set applied; for tests
     and inspection, so nothing is freed."""
     _check_same_cfg(instance.cfg, decomp.cfg)
-    tables, _ = _forward(instance, decomp, keep=True)
+    tables = _forward(instance, decomp, keep=True)[0]
     am = instance.allowed_mask
     full = []
     for tab, node in zip(tables, decomp.nodes):
@@ -494,7 +667,7 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
     """Exact minimum over all assignments, linear in the program size."""
     _check_same_cfg(instance.cfg, decomp.cfg)
     d = instance.d
-    tables, choices = _forward(instance, decomp, keep=False)
+    tables, choices, ranks = _forward(instance, decomp, keep=False)
     nodes = decomp.nodes
     root = decomp.root
     vt = instance.vertex_costs
@@ -526,7 +699,7 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
         i, (s, t, b, c) = stack.pop()
         node = nodes[i]
         if node.kind == "series":
-            m = _at(choices[i], s, t, b, c)
+            m = _at(choices[i], ranks[i], s, t, b, c)
             assignment[node.merged] = m
             left, right = node.children
             stack.append((left, (s, m, b, c)))
@@ -538,9 +711,10 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
         elif node.kind == "loop":
             (child,) = node.children
             arg_s, arg_tc, arg_b = choices[i]
-            cb = int(arg_b[s, t])
-            ct, cc = divmod(_at(arg_tc, s, cb), d)
-            sub = (_at(arg_s, s, cb, ct, cc), ct, cb, cc)
+            j = ranks[i]
+            cb = int(arg_b[j, s, t])
+            ct, cc = divmod(_at(arg_tc, j, s, cb), d)
+            sub = (_at(arg_s, j, ct, cc, s, cb), ct, cb, cc)
             for vertex, value in zip(nodes[child].specials, sub):
                 assignment[vertex] = value
             stack.append((child, sub))

@@ -174,6 +174,15 @@ def test_solve_bad_instance(program, capsys, tmp_path):
     assert "error" in err
 
 
+
+def test_solve_names_a_malformed_vertex_row(program, capsys, tmp_path):
+    path = program("a; b")
+    inst = instance_file(tmp_path, {"domain_size": 2, "vertex_costs": [{"v": 0, "costs": [1, 2, 3]}]})
+    rc, out, err = run(capsys, "solve", path, "--instance", inst)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: vertex 0 costs must be length 2\n"
+
 def test_solve_refuses_inexact_costs(program, capsys, tmp_path):
     path = program("a")
     inst = instance_file(

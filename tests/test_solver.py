@@ -1000,3 +1000,48 @@ def test_json_decoding_keeps_no_list_of_every_cell():
     assert inst.edge_tables[cfg.edges[7].src, cfg.edges[7].dst].tolist() == [
         [INFINITY if x == 0 else x for x in row] for row in cells[7]
     ]
+
+
+# "a; b" has 5 vertices; vertex 4 is given three costs at d=2
+_RAGGED_ROWS = [[0, 0], [1, 2], [0, 0], [0, 0], [1, 2, 3]]
+
+
+@pytest.mark.parametrize(
+    "vertex_costs",
+    [
+        _RAGGED_ROWS,
+        _RAGGED_ROWS[:4] + [[7]],
+        _RAGGED_ROWS[:4] + [[[1], [2, 3]]],
+        np.zeros((5, 3)),
+        {4: [1, 2, 3]},
+        {4: [7]},
+        {4: 7},
+        {4: [[1], [2, 3]]},
+    ],
+)
+def test_malformed_vertex_costs_name_their_vertex(vertex_costs):
+    d = decompose_source("a; b")
+    with pytest.raises(ValueError, match=r"^vertex (4|0) costs must be length 2$"):
+        PcspInstance(d.cfg, 2, vertex_costs=vertex_costs)
+
+
+def test_wrong_vertex_count_is_refused_as_a_whole():
+    d = decompose_source("a; b")
+    with pytest.raises(ValueError, match=r"^vertex costs must be 5x2$"):
+        PcspInstance(d.cfg, 2, vertex_costs=[[0, 0]] * 4)
+    with pytest.raises(ValueError, match=r"^vertex costs must be 5x2$"):
+        PcspInstance(d.cfg, 2, vertex_costs=5)
+
+
+@pytest.mark.parametrize(
+    "vertex_costs, message",
+    [
+        (_RAGGED_ROWS, "vertex 4 costs must be length 2"),
+        ([{"v": 0, "costs": [1, 2, 3]}], "vertex 0 costs must be length 2"),
+        ([{"v": 3, "costs": [1]}], "vertex 3 costs must be length 2"),
+    ],
+)
+def test_json_vertex_costs_name_their_vertex(vertex_costs, message):
+    d = decompose_source("a; b")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        instance_from_json(d.cfg, {"domain_size": 2, "vertex_costs": vertex_costs})
