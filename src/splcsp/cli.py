@@ -30,10 +30,6 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _dumps(obj: dict) -> str:
-    return spl.cfg_json_dumps(obj)
-
-
 def _tree_dot(tree: lang.Stmt) -> str:
     order = list(lang.walk(tree))
     ids = {id(node): i for i, node in enumerate(order)}
@@ -64,33 +60,40 @@ def _parse_ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def _load_program(path: str) -> tuple[lang.Stmt, spl.Decomposition]:
-    tree = lang.parse_program(_read_text(path))
-    return tree, spl.decompose(tree)
+def _load_program(path: str) -> spl.Decomposition:
+    return spl.decompose(lang.parse_program(_read_text(path)))
 
 
-def _emit_solution(args, payload: dict, min_cost) -> int:
-    text = _dumps(payload)
-    if getattr(args, "out", None):
+def _emit(args, sol: solver.Solution, decode=None, **fields) -> int:
+    """Write the solution JSON to ``--out`` or stdout, with ``fields``
+    and, when there is a witness, those ``decode(assignment)`` gives;
+    the exit code is 2 if the minimum is INFINITY."""
+    payload = {**sol.to_json(), **fields}
+    if decode is not None and sol.assignment is not None:
+        payload.update(decode(sol.assignment))
+    text = spl.cfg_json_dumps(payload)
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 2 if math.isinf(min_cost) else 0
+    return 2 if math.isinf(sol.min_cost) else 0
 
 
-def _oracle_check(args, instance, sol) -> int:
-    """0 if the oracle agrees (or was not requested), 3 otherwise."""
-    if not getattr(args, "oracle_check", False):
-        return 0
-    budget = getattr(args, "budget", None) or solver.DEFAULT_ORACLE_BUDGET
-    check = solver.oracle_solve(instance, budget=budget)
-    if check.min_cost != sol.min_cost:
-        print(
-            f"oracle mismatch: solve={sol.min_cost} oracle={check.min_cost}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+def _solve(args, decomp, instance, decode=None, **fields) -> int:
+    """Solve, check the minimum against the oracle under
+    ``--oracle-check`` (exit code 3 if they disagree), and write the
+    solution as `_emit` does."""
+    sol = solver.solve(instance, decomp)
+    if args.oracle_check:
+        budget = args.budget or solver.DEFAULT_ORACLE_BUDGET
+        check = solver.oracle_solve(instance, budget=budget)
+        if check.min_cost != sol.min_cost:
+            print(
+                f"oracle mismatch: solve={sol.min_cost} oracle={check.min_cost}",
+                file=sys.stderr,
+            )
+            return 3
+    return _emit(args, sol, decode, **fields)
 
 
 def _cmd_parse(args) -> int:
@@ -105,7 +108,7 @@ def _cmd_parse(args) -> int:
             file=sys.stderr,
         )
     if args.json:
-        sys.stdout.write(_dumps(lang.tree_to_json(tree)))
+        sys.stdout.write(spl.cfg_json_dumps(lang.tree_to_json(tree)))
     elif args.dot:
         sys.stdout.write(_tree_dot(tree))
     else:
@@ -114,29 +117,24 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_cfg(args) -> int:
-    _, decomp = _load_program(args.file)
+    decomp = _load_program(args.file)
     if args.dot:
         sys.stdout.write(decomp.cfg.to_dot())
     elif args.tree:
-        sys.stdout.write(_dumps(decomp.to_json()))
+        sys.stdout.write(spl.cfg_json_dumps(decomp.to_json()))
     else:
-        sys.stdout.write(_dumps(decomp.cfg.to_json()))
+        sys.stdout.write(spl.cfg_json_dumps(decomp.cfg.to_json()))
     return 0
 
 
 def _cmd_solve(args) -> int:
-    _, decomp = _load_program(args.file)
+    decomp = _load_program(args.file)
     obj = json.loads(_read_text(args.instance))
-    instance = solver.instance_from_json(decomp.cfg, obj)
-    sol = solver.solve(instance, decomp)
-    rc = _oracle_check(args, instance, sol)
-    if rc:
-        return rc
-    return _emit_solution(args, sol.to_json(), sol.min_cost)
+    return _solve(args, decomp, solver.instance_from_json(decomp.cfg, obj))
 
 
 def _cmd_bank(args) -> int:
-    _, decomp = _load_program(args.file)
+    decomp = _load_program(args.file)
     preassigned = {}
     for item in args.preassign or []:
         v, _, b = item.partition("=")
@@ -152,22 +150,15 @@ def _cmd_bank(args) -> int:
         taken_edges=taken,
         entry_unknown=not args.entry_known,
     )
-    instance = instances.build_bank_selection(decomp.cfg, spec)
-    sol = solver.solve(instance, decomp)
-    rc = _oracle_check(args, instance, sol)
-    if rc:
-        return rc
-    payload = sol.to_json()
-    payload["banks"] = args.banks
-    if sol.assignment is not None:
-        payload["selected"] = {
-            str(v): b for v, b in sorted(instances.decode_banks(spec, sol.assignment).items())
-        }
-    return _emit_solution(args, payload, sol.min_cost)
+
+    def decode(assignment) -> dict:
+        return {"selected": {str(v): b for v, b in sorted(instances.decode_banks(spec, assignment).items())}}
+
+    return _solve(args, decomp, instances.build_bank_selection(decomp.cfg, spec), decode, banks=args.banks)
 
 
 def _cmd_lospre(args) -> int:
-    _, decomp = _load_program(args.file)
+    decomp = _load_program(args.file)
     edge_costs = None
     if args.edge_cost != 1:
         edge_costs = {(e.src, e.dst): args.edge_cost for e in decomp.cfg.edges}
@@ -180,19 +171,15 @@ def _cmd_lospre(args) -> int:
         edge_costs=edge_costs,
         vertex_costs=vertex_costs,
     )
-    instance = instances.build_lospre(decomp.cfg, spec)
-    sol = solver.solve(instance, decomp)
-    rc = _oracle_check(args, instance, sol)
-    if rc:
-        return rc
-    payload = sol.to_json()
-    if sol.assignment is not None:
-        payload["members"] = sorted(v for v, a in sol.assignment.items() if a == 1)
-    return _emit_solution(args, payload, sol.min_cost)
+
+    def decode(assignment) -> dict:
+        return {"members": sorted(v for v, a in assignment.items() if a == 1)}
+
+    return _solve(args, decomp, instances.build_lospre(decomp.cfg, spec), decode)
 
 
 def _cmd_regalloc(args) -> int:
-    _, decomp = _load_program(args.file)
+    decomp = _load_program(args.file)
     lifetimes = {}
     for item in args.lifetime or []:
         var, sep, vs = item.partition("=")
@@ -204,19 +191,12 @@ def _cmd_regalloc(args) -> int:
         registers=args.registers,
         switch_cost=args.switch_cost,
     )
-    instance = instances.build_regalloc(decomp.cfg, spec)
-    sol = solver.solve(instance, decomp)
-    rc = _oracle_check(args, instance, sol)
-    if rc:
-        return rc
-    payload = sol.to_json()
-    if sol.assignment is not None:
-        decoded = instances.decode_placements(spec, sol.assignment)
-        payload["placements"] = {
-            str(v): {var: loc for var, loc in sorted(p.items())}
-            for v, p in sorted(decoded.items())
-        }
-    return _emit_solution(args, payload, sol.min_cost)
+
+    def decode(assignment) -> dict:
+        decoded = instances.decode_placements(spec, assignment)
+        return {"placements": {str(v): dict(sorted(p.items())) for v, p in sorted(decoded.items())}}
+
+    return _solve(args, decomp, instances.build_regalloc(decomp.cfg, spec), decode)
 
 
 def _cmd_coloring(args) -> int:
@@ -224,10 +204,7 @@ def _cmd_coloring(args) -> int:
     instance = instances.build_graph_coloring(graph, args.colors)
     budget = args.budget or solver.DEFAULT_ORACLE_BUDGET
     sol = solver.oracle_solve(instance, budget=budget)
-    payload = sol.to_json()
-    payload["colors"] = args.colors
-    payload["conflicts"] = payload["min_cost"]
-    return _emit_solution(args, payload, sol.min_cost)
+    return _emit(args, sol, colors=args.colors, conflicts=sol.to_json()["min_cost"])
 
 
 def _cmd_gen(args) -> int:
@@ -259,6 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constraint problems over control-flow graphs of structured programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
+    # options of the commands that write a solution, and of those that
+    # also solve and can check the answer against the oracle
+    written = argparse.ArgumentParser(add_help=False)
+    written.add_argument("--budget", type=int, default=None, help="oracle enumeration budget")
+    written.add_argument("--out", help="write the solution JSON here instead of stdout")
+    solved = argparse.ArgumentParser(add_help=False, parents=[written])
+    solved.add_argument("--oracle-check", action="store_true")
 
     p = sub.add_parser("parse", help="parse a program and print it back")
     p.add_argument("file", help="program file, or - for stdin")
@@ -274,15 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--tree", action="store_true", help="decomposition tree as JSON")
     p.set_defaults(func=_cmd_cfg)
 
-    p = sub.add_parser("solve", help="minimize an instance over a program's CFG")
+    p = sub.add_parser("solve", parents=[solved], help="minimize an instance over a program's CFG")
     p.add_argument("file")
     p.add_argument("--instance", required=True, help="instance JSON file")
-    p.add_argument("--oracle-check", action="store_true")
-    p.add_argument("--budget", type=int, default=None, help="oracle enumeration budget")
-    p.add_argument("--out", help="write the solution JSON here instead of stdout")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("bank", help="memory bank selection")
+    p = sub.add_parser("bank", parents=[solved], help="memory bank selection")
     p.add_argument("file")
     p.add_argument("--banks", type=int, required=True)
     p.add_argument("--preassign", action="append", metavar="V=B")
@@ -290,37 +271,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=int, default=1, help="selection cost on taken branches")
     p.add_argument("--taken", action="append", metavar="SRC,DST", help="override taken edges")
     p.add_argument("--entry-known", action="store_true", help="do not pin the entry to unknown")
-    p.add_argument("--oracle-check", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_bank)
 
-    p = sub.add_parser("lospre", help="partial redundancy elimination placement")
+    p = sub.add_parser("lospre", parents=[solved], help="partial redundancy elimination placement")
     p.add_argument("file")
     p.add_argument("--use", required=True, metavar="V,V,...", help="vertices using the value")
     p.add_argument("--invalidating", default="", metavar="V,V,...")
     p.add_argument("--edge-cost", type=int, default=1)
     p.add_argument("--vertex-cost", type=int, default=0)
-    p.add_argument("--oracle-check", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_lospre)
 
-    p = sub.add_parser("regalloc", help="register allocation over lifetimes")
+    p = sub.add_parser("regalloc", parents=[solved], help="register allocation over lifetimes")
     p.add_argument("file")
     p.add_argument("--registers", type=int, required=True)
     p.add_argument("--lifetime", action="append", metavar="VAR=V,V,...", required=True)
     p.add_argument("--switch-cost", type=int, default=1)
-    p.add_argument("--oracle-check", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_regalloc)
 
-    p = sub.add_parser("coloring", help="color an arbitrary digraph (exhaustive)")
+    p = sub.add_parser("coloring", parents=[written], help="color an arbitrary digraph (exhaustive)")
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_coloring)
 
     p = sub.add_parser("gen", help="generate a random program")
@@ -349,19 +319,10 @@ def run_cli(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except lang.ProgramSyntaxError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except bench_mod.OracleMismatchError as e:
         print(f"oracle mismatch: {e}", file=sys.stderr)
         return 3
-    except solver.BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, TypeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (lang.ProgramSyntaxError, solver.BudgetExceededError, ValueError, KeyError, TypeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -104,29 +104,16 @@ def _validate_table(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}: finite costs must be integers")
 
 
-def _check_square(tables, key: Callable[[int], tuple[int, int]], d: int) -> None:
-    """Raise a ValueError naming the first of ``tables`` that is not a
-    d x d table; return if there is none."""
-    for i, tab in enumerate(tables):
+def _check_shapes(items, shape: tuple, message: Callable[[int], str]) -> None:
+    """Raise ``ValueError(message(i))`` for the first ``items[i]`` whose
+    shape is not ``shape``; return if there is none."""
+    for i, item in enumerate(items):
         try:
-            square = np.shape(tab) == (d, d)
+            ok = np.shape(item) == shape
         except ValueError:
-            square = False
-        if not square:
-            raise ValueError(f"edge table {key(i)} must be {d}x{d}")
-
-
-def _check_vectors(rows, d: int) -> None:
-    """Raise a ValueError naming the first vertex of ``rows``, (vertex,
-    costs) pairs, whose costs are not d numbers; return if there is
-    none."""
-    for v, row in rows:
-        try:
-            flat = np.shape(row) == (d,)
-        except ValueError:
-            flat = False
-        if not flat:
-            raise ValueError(f"vertex {v} costs must be length {d}")
+            ok = False
+        if not ok:
+            raise ValueError(message(i))
 
 
 def _highs(arr: np.ndarray, what: Callable[[int], str]) -> list[int]:
@@ -154,6 +141,9 @@ class PcspInstance:
     mapping from vertex to a length-d vector, None, or a callable
     ``f(v, a)`` that is tabulated first.  ``allowed`` maps vertices to
     non-empty subsets of the domain; unlisted vertices allow everything.
+    The sets are kept once, as ``allowed``, one sorted tuple per vertex;
+    ``allowed_mask``, the same sets as an (n, d) array of 0 and
+    INFINITY, is derived from it on first use.
 
     The edge costs are stored once: ``edge_stack`` is a read-only
     (k, d, d) array of distinct tables, and ``edge_rows`` maps every
@@ -217,13 +207,16 @@ class PcspInstance:
         def key(r: int) -> tuple[int, int]:
             return keys[rows.index(r)]
 
+        def bad_table(r: int) -> str:
+            return f"edge table {key(r)} must be {d}x{d}"
+
         try:
             stack = _floats(given) if len(given) else np.zeros((0, d, d))
         except ValueError:
-            _check_square(given, key, d)
+            _check_shapes(given, (d, d), bad_table)
             raise
         if stack.shape != shape:
-            _check_square(given, key, d)
+            _check_shapes(given, (d, d), bad_table)
             raise ValueError(f"edge costs must be {len(keys)}x{d}x{d}")
         # the largest finite cost of every edge and vertex, added up
         uses = np.bincount(np.asarray(rows, dtype=np.intp), minlength=len(stack))
@@ -232,30 +225,27 @@ class PcspInstance:
         self.edge_stack = stack
         self.edge_rows = dict(zip(keys, rows))
 
+        if isinstance(vertex_costs, Mapping):
+            unknown = [v for v in vertex_costs if not 0 <= v < n]
+            if unknown:
+                raise InstanceMismatchError(f"vertex cost for unknown vertex {unknown[0]}")
+            zero_row = [0] * d
+            vertex_costs = [vertex_costs.get(v, zero_row) for v in range(n)]
+
+        def bad_row(v: int) -> str:
+            return f"vertex {v} costs must be length {d}"
+
         if vertex_costs is None:
             vt = np.zeros((n, d))
-        elif isinstance(vertex_costs, Mapping):
-            vt = np.zeros((n, d))
-            for v, row in vertex_costs.items():
-                if not 0 <= v < n:
-                    raise InstanceMismatchError(f"vertex cost for unknown vertex {v}")
-                try:
-                    vec = _floats(row)
-                except ValueError:
-                    _check_vectors([(v, row)], d)
-                    raise
-                if vec.shape != (d,):
-                    raise ValueError(f"vertex {v} costs must be length {d}")
-                vt[v] = vec
         else:
             try:
                 vt = _floats(vertex_costs)
             except ValueError:
-                _check_vectors(enumerate(vertex_costs), d)
+                _check_shapes(vertex_costs, (d,), bad_row)
                 raise
             if vt.shape != (n, d):
                 if vt.ndim:
-                    _check_vectors(enumerate(vertex_costs), d)
+                    _check_shapes(vertex_costs, (d,), bad_row)
                 raise ValueError(f"vertex costs must be {n}x{d}")
         worst += sum(_highs(vt, lambda v: f"vertex {v} costs"))
         if worst > _COST_LIMIT:
@@ -273,28 +263,34 @@ class PcspInstance:
             raise InstanceMismatchError(
                 f"allowed sets for unknown vertices: {sorted(unknown)[:4]}"
             )
-        # only restricted vertices touch the sets and the mask
-        full = tuple(range(d))
-        sets = [full] * n
-        restricted = sorted(map(int, allowed))
-        for v in restricted:
-            vals = sorted(set(int(a) for a in allowed[v]))
+        # only restricted vertices are visited; `operator.index` takes
+        # ints, numpy's too, and refuses 0.7 rather than truncate it
+        sets = [tuple(range(d))] * n
+        for v in sorted(map(int, allowed)):
+            vals = sorted(set(map(operator.index, allowed[v])))
             if not vals:
                 raise ValueError(f"allowed set for vertex {v} is empty")
             if vals[0] < 0 or vals[-1] >= d:
                 raise ValueError(f"allowed set for vertex {v} leaves the domain")
             sets[v] = tuple(vals)
-        mask = np.zeros((n, d))
+        self.allowed = tuple(sets)
+
+    @functools.cached_property
+    def allowed_mask(self) -> np.ndarray:
+        """``allowed`` as a read-only (n, d) array: 0 at an allowed
+        value, INFINITY elsewhere.  Its restricted rows are set in one
+        fancy-index assignment, not a numpy call per vertex."""
+        d = self.d
+        restricted = [v for v, vals in enumerate(self.allowed) if len(vals) < d]
+        sets = list(map(self.allowed.__getitem__, restricted))
+        mask = np.zeros((len(self.allowed), d))
         mask[restricted] = INFINITY
         mask[
-            np.repeat(np.array(restricted, dtype=np.intp), [len(sets[v]) for v in restricted]),
-            np.fromiter(itertools.chain.from_iterable(sets[v] for v in restricted), np.intp),
+            np.repeat(np.array(restricted, dtype=np.intp), list(map(len, sets))),
+            np.fromiter(itertools.chain.from_iterable(sets), np.intp),
         ] = 0.0
         mask.setflags(write=False)
-        self.allowed_mask = mask
-        self.allowed = tuple(sets)
-        everything = frozenset(full)
-        self._allowed_sets = tuple(everything if s is full else frozenset(s) for s in sets)
+        return mask
 
     @functools.cached_property
     def edge_tables(self) -> dict[tuple[int, int], np.ndarray]:
@@ -340,7 +336,7 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
         vals.append(a)
     total = 0.0
     for v in range(n):
-        if vals[v] not in instance._allowed_sets[v]:
+        if vals[v] not in instance.allowed[v]:
             return INFINITY
         total += instance.vertex_costs[v, vals[v]]
     stack = instance.edge_stack
@@ -361,8 +357,7 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # length of its axis), and for the root's own specials in the final
 # minimum (choosing a length-1 axis's value on its own, since it meets
 # nothing else).  So a table's entries at a disallowed special value
-# may be finite; the backtrack never reads them, and `dp_tables` adds
-# every special's mask.
+# may be finite; the backtrack never reads them.
 #
 # An axis whose special no edge of the node's subgraph touches has
 # length 1, since the table cannot depend on it; numpy broadcasting
@@ -398,13 +393,6 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # loop), read at row ranks[i].  Choices use the smallest unsigned dtype
 # that holds their index range and are read with index 0 on length-1
 # axes.
-
-
-def _check_same_cfg(a: Cfg, b: Cfg) -> None:
-    if a is b:
-        return
-    if a.vertex_count != b.vertex_count or set(a.edge_map) != set(b.edge_map):
-        raise InstanceMismatchError("instance and decomposition use different graphs")
 
 
 def _at(arr: np.ndarray, *index: int) -> int:
@@ -483,10 +471,10 @@ def _widest(key: tuple, d: int) -> int:
     return d * max(lt, rt) * max(lb, rb) * max(lc, rc)
 
 
-def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
-    """Each node's table, its batch's choices and its row in them.
-    With ``keep`` every table stays, leaves' too; otherwise a table is
-    dropped once its parent has run."""
+def _forward(instance: PcspInstance, decomp: Decomposition):
+    """Each node's table, its batch's choices and its row in them; a
+    table is dropped once its parent has run, so only the root's
+    stays."""
     d = instance.d
     # a vertex's cost and mask, charged together
     vm = instance.vertex_costs + instance.allowed_mask
@@ -514,10 +502,11 @@ def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
         if not leaf:
             return _stack([tables[i] for i in idx])
         tab = leaves(leaf, shape)
-        if keep or len(leaf) < len(idx):
-            for i, t in zip(leaf, tab):
-                tables[i] = t
-        return tab if len(leaf) == len(idx) else _stack([tables[i] for i in idx])
+        if len(leaf) == len(idx):
+            return tab
+        for i, t in zip(leaf, tab):
+            tables[i] = t
+        return _stack([tables[i] for i in idx])
 
     # each kind forms its batch's intermediates in a function, so they
     # are freed on return instead of staying bound while later batches
@@ -632,9 +621,8 @@ def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
             tables[i] = tab
             choices[i] = picks
             ranks[i] = j
-            if not keep:
-                for c in nodes[i].children:
-                    tables[c] = None
+            for c in nodes[i].children:
+                tables[c] = None
             p = parent[i]
             if p >= 0:
                 waiting[p] -= 1
@@ -643,31 +631,13 @@ def _forward(instance: PcspInstance, decomp: Decomposition, keep: bool):
     return tables, choices, ranks
 
 
-def dp_tables(instance: PcspInstance, decomp: Decomposition) -> list[np.ndarray]:
-    """All per-node tables, in decomposition (post-)order, each full
-    (d, d, d, d) with every special's allowed set applied; for tests
-    and inspection, so nothing is freed."""
-    _check_same_cfg(instance.cfg, decomp.cfg)
-    tables = _forward(instance, decomp, keep=True)[0]
-    am = instance.allowed_mask
-    full = []
-    for tab, node in zip(tables, decomp.nodes):
-        s, t, b, c = (am[v] for v in node.specials)
-        full.append(
-            tab
-            + s[:, None, None, None]
-            + t[None, :, None, None]
-            + b[None, None, :, None]
-            + c[None, None, None, :]
-        )
-    return full
-
-
 def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
     """Exact minimum over all assignments, linear in the program size."""
-    _check_same_cfg(instance.cfg, decomp.cfg)
+    a, b = instance.cfg, decomp.cfg
+    if a is not b and (a.vertex_count != b.vertex_count or a.edge_map.keys() != b.edge_map.keys()):
+        raise InstanceMismatchError("instance and decomposition use different graphs")
     d = instance.d
-    tables, choices, ranks = _forward(instance, decomp, keep=False)
+    tables, choices, ranks = _forward(instance, decomp)
     nodes = decomp.nodes
     root = decomp.root
     vt = instance.vertex_costs
@@ -812,6 +782,15 @@ def _check_costs(rows: list) -> None:
     raise ValueError(f"costs are integers or \"inf\", got {bad!r}")
 
 
+def _json_ints(values: list, what: str) -> list:
+    """``values`` if each is a JSON integer; a bool, float or string,
+    which `int` would truncate or parse, is refused naming ``what``."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(x for x in values if type(x) is not int)
+        raise ValueError(f"{what} must be an integer, got {bad!r}")
+    return values
+
+
 def _cost_from_json(x) -> float:
     _check_costs([[x]])
     return float(_floats(x))
@@ -861,7 +840,7 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
     parsed lists and are handed on in ``cfg.edges`` order, so
     `PcspInstance` converts them in one `np.array` call; the last table
     given for an edge wins, and edges left out cost nothing."""
-    d = int(obj["domain_size"])
+    (d,) = _json_ints([obj["domain_size"]], "domain_size")
     ec = obj.get("edge_costs")
     edge_costs: Mapping | list | np.ndarray | None
     if ec is None:
@@ -869,13 +848,15 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
     elif isinstance(ec, dict):
         edge_costs = _model_costs(ec, cfg, d)
     else:
-        keys = [(int(item["src"]), int(item["dst"])) for item in ec]
+        src = _json_ints([item["src"] for item in ec], "edge src")
+        dst = _json_ints([item["dst"] for item in ec], "edge dst")
+        keys = list(zip(src, dst))
         tables = [item["table"] for item in ec]
         try:
             _check_costs(list(itertools.chain.from_iterable(tables)))
         except (TypeError, ValueError):
             # a table that is no d x d table at all says so first
-            _check_square(tables, keys.__getitem__, d)
+            _check_shapes(tables, (d, d), lambda i: f"edge table {keys[i]} must be {d}x{d}")
             raise
         by_key = dict(zip(keys, tables))
         extra = by_key.keys() - cfg.edge_map.keys()
@@ -898,13 +879,15 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
     elif vc and isinstance(vc[0], dict):
         rows = [item["costs"] for item in vc]
         _check_costs(rows)
-        vertex_costs = {int(item["v"]): row for item, row in zip(vc, rows)}
+        vertex_costs = dict(zip(_json_ints([item["v"] for item in vc], "vertex v"), rows))
     else:
         _check_costs(vc)
         vertex_costs = vc
-    allowed = None
-    if "allowed" in obj and obj["allowed"] is not None:
-        allowed = {int(v): list(vals) for v, vals in obj["allowed"].items()}
+    allowed = obj.get("allowed")
+    if allowed is not None:
+        if not (isinstance(allowed, dict) and all(isinstance(vals, list) for vals in allowed.values())):
+            raise ValueError("allowed must map vertices to lists of values")
+        allowed = {int(v): _json_ints(vals, "allowed value") for v, vals in allowed.items()}
     return PcspInstance(cfg, d, edge_costs, vertex_costs, allowed)
 
 

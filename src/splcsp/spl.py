@@ -1,30 +1,32 @@
-"""Series-parallel-loop graphs and control-flow graph construction.
+"""Control-flow graphs of structured programs and their decomposition.
 
-An SPL graph is a digraph with four distinguished vertices: start S,
-terminate T, break target B and continue target C.  Three atomic graphs
-(a statement edge S->T, a break edge S->B, a continue edge S->C) and
-three closure operations generate exactly the control-flow graphs of
-structured goto-free programs:
+A subgraph of a CFG has four special vertices: start S, terminate T,
+break target B and continue target C.  ``decompose`` builds a
+program's CFG in linear time, with a union-find over pre-allocated
+vertex ids, and records in post-order the operation that builds each
+subgraph:
 
-* ``series(g, h)``   merges g.T with h.S (the merge point M) and the
-  B/C pairs,
-* ``parallel(g, h)`` merges all four special pairs; an edge present in
-  both operands collapses to one,
-* ``loop(g)``        adds four fresh specials and five edges: S->S1
+* an atom: a statement edge S->T, a break edge S->B or a continue edge
+  S->C, on four fresh vertices,
+* ``series`` (``;``) merges the left T with the right S (the merge
+  point M) and the B/C pairs,
+* ``parallel`` (``if``) merges all four special pairs; an edge present
+  in both operands collapses to one,
+* ``loop`` (``while``) adds four fresh specials and five edges: S->S1
   (entering the body), S->T (skipping it), T1->S and C1->S (back
   edges), B1->T (breaking out).
 
-``decompose`` maps a parse tree onto this algebra in linear time using
-a union-find over pre-allocated vertex ids, and returns the operation
-tree together with the finished CFG.
+``tests/reference.py`` holds the series/parallel/loop graph algebra
+that ``decompose`` is checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
 from . import lang
 from .lang import Span, Stmt
@@ -41,10 +43,6 @@ LOOP_BACK = "loop-back"
 LABELS = frozenset([STMT, BREAK, CONTINUE, BRANCH, LOOP_ENTER, LOOP_EXIT, LOOP_BACK])
 
 
-class OverlappingGraphsError(ValueError):
-    """Raised when composing graphs whose vertex sets intersect."""
-
-
 class OpenProgramWarning(UserWarning):
     """Emitted when decomposing a program with top-level break/continue."""
 
@@ -56,140 +54,6 @@ class Edge:
     label: str
     text: str | None = None
     taken: bool = False
-
-
-@dataclass
-class SplGraph:
-    """A digraph with start/terminate/break/continue vertices.
-
-    ``edges`` is keyed by (src, dst); SPL graphs are simple, so the key
-    determines the edge.
-    """
-
-    s: int
-    t: int
-    b: int
-    c: int
-    vertices: frozenset[int]
-    edges: dict[tuple[int, int], Edge]
-
-    @property
-    def specials(self) -> tuple[int, int, int, int]:
-        return (self.s, self.t, self.b, self.c)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-
-def atomic(kind: str, text: str | None = None, first_id: int = 0) -> SplGraph:
-    """One of the three generators; allocates ids first_id..first_id+3."""
-    s, t, b, c = first_id, first_id + 1, first_id + 2, first_id + 3
-    if kind == "epsilon":
-        edge = Edge(s, t, STMT, text)
-    elif kind == "break":
-        edge = Edge(s, b, BREAK)
-    elif kind == "continue":
-        edge = Edge(s, c, CONTINUE)
-    else:
-        raise ValueError(f"unknown atomic kind: {kind!r}")
-    return SplGraph(s, t, b, c, frozenset((s, t, b, c)), {(edge.src, edge.dst): edge})
-
-
-def _check_disjoint(g: SplGraph, h: SplGraph) -> None:
-    if g.vertices & h.vertices:
-        raise OverlappingGraphsError(
-            f"operand vertex sets share {sorted(g.vertices & h.vertices)[:4]}"
-        )
-
-
-def _merge_map(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
-    # smaller id becomes the representative of each merged pair
-    vmap: dict[int, int] = {}
-    for a, b in pairs:
-        keep, drop = (a, b) if a < b else (b, a)
-        vmap[drop] = keep
-    return vmap
-
-
-def _remap_edges(
-    graphs: Iterable[SplGraph],
-    vmap: Mapping[int, int],
-    duplicates: list[tuple[int, int]] | None = None,
-) -> dict[tuple[int, int], Edge]:
-    out: dict[tuple[int, int], Edge] = {}
-    for g in graphs:
-        for edge in g.edges.values():
-            src = vmap.get(edge.src, edge.src)
-            dst = vmap.get(edge.dst, edge.dst)
-            key = (src, dst)
-            if key in out:
-                # the left operand's edge wins; the cost is counted once
-                if duplicates is None:
-                    raise AssertionError(f"unexpected duplicate edge {key}")
-                duplicates.append(key)
-                continue
-            out[key] = Edge(src, dst, edge.label, edge.text, edge.taken)
-    return out
-
-
-def series(g: SplGraph, h: SplGraph) -> SplGraph:
-    """Run g then h: g.T and h.S merge into M; B and C pairs merge."""
-    _check_disjoint(g, h)
-    vmap = _merge_map([(g.t, h.s), (g.b, h.b), (g.c, h.c)])
-    edges = _remap_edges((g, h), vmap)
-    vertices = frozenset(vmap.get(v, v) for v in g.vertices | h.vertices)
-    return SplGraph(
-        g.s, h.t, vmap.get(g.b, g.b), vmap.get(g.c, g.c), vertices, edges
-    )
-
-
-def parallel(g: SplGraph, h: SplGraph) -> tuple[SplGraph, tuple[tuple[int, int], ...]]:
-    """Alternatives g | h: all four special pairs merge.
-
-    Returns the graph and the keys of edges present in both operands,
-    which appear once in the result.
-    """
-    _check_disjoint(g, h)
-    vmap = _merge_map([(g.s, h.s), (g.t, h.t), (g.b, h.b), (g.c, h.c)])
-    duplicates: list[tuple[int, int]] = []
-    edges = _remap_edges((g, h), vmap, duplicates)
-    vertices = frozenset(vmap.get(v, v) for v in g.vertices | h.vertices)
-    graph = SplGraph(
-        vmap.get(g.s, g.s),
-        vmap.get(g.t, g.t),
-        vmap.get(g.b, g.b),
-        vmap.get(g.c, g.c),
-        vertices,
-        edges,
-    )
-    return graph, tuple(duplicates)
-
-
-def loop(g: SplGraph, first_id: int | None = None, guard: str | None = None) -> SplGraph:
-    """Wrap g in a loop: four fresh specials and five connecting edges."""
-    if first_id is None:
-        first_id = max(g.vertices) + 1
-    s, t, b, c = first_id, first_id + 1, first_id + 2, first_id + 3
-    fresh = frozenset((s, t, b, c))
-    if fresh & g.vertices:
-        raise OverlappingGraphsError(
-            f"fresh ids {sorted(fresh & g.vertices)} already used by the operand"
-        )
-    edges = dict(g.edges)
-    for edge in (
-        Edge(s, g.s, LOOP_ENTER, guard),
-        Edge(s, t, LOOP_EXIT, guard),
-        Edge(g.t, s, LOOP_BACK),
-        Edge(g.c, s, LOOP_BACK),
-        Edge(g.b, t, LOOP_EXIT),
-    ):
-        edges[(edge.src, edge.dst)] = edge
-    return SplGraph(s, t, b, c, g.vertices | fresh, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +76,9 @@ class Cfg:
     specials: tuple[int, int, int, int] | None = None
     spans: dict[int, tuple[Span, ...]] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self._edge_map: dict[tuple[int, int], Edge] | None = None
-
-    @property
+    @functools.cached_property
     def edge_map(self) -> dict[tuple[int, int], Edge]:
-        if self._edge_map is None:
-            self._edge_map = {(e.src, e.dst): e for e in self.edges}
-        return self._edge_map
+        return {(e.src, e.dst): e for e in self.edges}
 
     def out_degree(self) -> list[int]:
         deg = [0] * self.vertex_count
@@ -405,53 +264,6 @@ class Decomposition:
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def node_graph(self, index: int, final_ids: bool = True) -> SplGraph:
-        """Rebuild the subgraph of one node by replaying the operations.
-
-        With ``final_ids`` the result uses CFG vertex ids; edge labels
-        stay structural (no branch relabeling).
-        """
-        memo: dict[int, SplGraph] = {}
-        stack = [index]
-        while stack:
-            i = stack[-1]
-            if i in memo:
-                stack.pop()
-                continue
-            node = self.nodes[i]
-            pending = [c for c in node.children if c not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            if node.kind in ("epsilon", "break", "continue"):
-                g = atomic(node.kind, node.text, first_id=node.base)
-            elif node.kind == "series":
-                g = series(memo[node.children[0]], memo[node.children[1]])
-            elif node.kind == "parallel":
-                g, _ = parallel(memo[node.children[0]], memo[node.children[1]])
-            elif node.kind == "loop":
-                g = loop(memo[node.children[0]], first_id=node.base, guard=node.guard)
-            else:
-                raise ValueError(f"unknown node kind: {node.kind!r}")
-            memo[i] = g
-        g = memo[index]
-        if not final_ids:
-            return g
-        fid = self.final_of_raw
-        edges = {}
-        for e in g.edges.values():
-            key = (fid[e.src], fid[e.dst])
-            edges[key] = Edge(key[0], key[1], e.label, e.text, e.taken)
-        return SplGraph(
-            fid[g.s],
-            fid[g.t],
-            fid[g.b],
-            fid[g.c],
-            frozenset(fid[v] for v in g.vertices),
-            edges,
-        )
 
     def to_json(self) -> dict:
         done: dict[int, dict] = {}

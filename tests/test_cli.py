@@ -237,6 +237,13 @@ def test_solve_oracle_budget_exhausted(program, capsys, tmp_path):
     assert "budget" in err
 
 
+def test_solve_refuses_allowed_that_is_not_an_object(program, capsys, tmp_path):
+    inst = instance_file(tmp_path, {"domain_size": 2, "allowed": [[0]]})
+    rc, out, err = run(capsys, "solve", program("a"), "--instance", inst)
+    assert (rc, out) == (1, "")
+    assert err == "error: allowed must map vertices to lists of values\n"
+
+
 # ---------------------------------------------------------------------------
 # problem builders
 
@@ -346,6 +353,55 @@ def test_coloring_budget(capsys, tmp_path):
     rc, _, err = run(capsys, "coloring", str(graph), "--colors", "3", "--budget", "10")
     assert rc == 1
     assert "budget" in err
+
+
+def solve_command_argv(command, program, tmp_path):
+    if command == "solve":
+        inst = instance_file(tmp_path, {"domain_size": 3, "edge_costs": {"model": "random", "seed": 2}})
+        return [program("a; if p then b else c fi"), "--instance", inst]
+    if command == "bank":
+        return [program(BANK_PROGRAM), "--banks", "1", "--preassign", "1=0", "--preassign", "5=0"]
+    if command == "lospre":
+        return [program(LOSPRE_PROGRAM), "--use", "4,5"]
+    return [
+        program("a;\nif p then b1; b2 else c fi;\nd"), "--registers", "2",
+        "--lifetime", "x=0,1,4,5,6", "--lifetime", "y=0,1,4,5,6",
+    ]
+
+
+@pytest.mark.parametrize("command", ["solve", "bank", "lospre", "regalloc"])
+def test_solve_commands_share_oracle_check_budget_and_out(command, program, capsys, tmp_path, monkeypatch):
+    argv = solve_command_argv(command, program, tmp_path)
+    rc, plain, _ = run(capsys, command, *argv)
+    assert rc == 0
+    out_path = tmp_path / "solution.json"
+    checked = ["--oracle-check", "--budget", str(1 << 20), "--out", str(out_path)]
+    assert run(capsys, command, *argv, *checked) == (0, "", "")
+    assert out_path.read_bytes() == plain.encode()
+    # the budget reaches the oracle
+    rc, out, err = run(capsys, command, *argv, "--oracle-check", "--budget", "1")
+    assert (rc, out) == (1, "")
+    assert "budget 1" in err
+    monkeypatch.setattr(solver, "oracle_solve", lambda instance, budget: Solution(432, None))
+    mismatch_path = tmp_path / "mismatch.json"
+    rc, out, err = run(capsys, command, *argv, "--oracle-check", "--out", str(mismatch_path))
+    assert (rc, out) == (3, "")
+    assert "oracle mismatch" in err
+    assert not mismatch_path.exists()
+
+
+def test_coloring_takes_budget_and_out(capsys, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertex_count": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 1]]}))
+    rc, plain, _ = run(capsys, "coloring", str(graph), "--colors", "2")
+    assert rc == 0
+    out_path = tmp_path / "colors.json"
+    assert run(capsys, "coloring", str(graph), "--colors", "2", "--budget", "16", "--out", str(out_path)) == (0, "", "")
+    assert out_path.read_bytes() == plain.encode()
+    # coloring only runs the oracle, so there is nothing to check it against
+    rc, _, err = run(capsys, "coloring", str(graph), "--colors", "2", "--oracle-check")
+    assert rc == 1
+    assert "unrecognized arguments: --oracle-check" in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import dp_tables, node_graph
 from splcsp import gen, lang, solver
 from splcsp.solver import (
     INFINITY,
@@ -18,7 +19,6 @@ from splcsp.solver import (
     PcspInstance,
     Solution,
     as_csp,
-    dp_tables,
     evaluate,
     instance_from_json,
     instance_to_json,
@@ -234,20 +234,20 @@ def test_dp_tables_shapes_and_atom_contents():
 def brute_node_table(inst, decomp, i):
     """Reference for dp_tables: enumerate the node's own subgraph."""
     node = decomp.nodes[i]
-    g = decomp.node_graph(i)
+    g = node_graph(decomp, i)
     specials = node.specials
     internal = sorted(g.vertices - set(specials))
     dd = inst.d
     out = np.empty((dd, dd, dd, dd))
     for quad in itertools.product(range(dd), repeat=4):
         if any(
-            quad[j] not in inst._allowed_sets[specials[j]] for j in range(4)
+            quad[j] not in inst.allowed[specials[j]] for j in range(4)
         ):
             out[quad] = INFINITY
             continue
         value = dict(zip(specials, quad))
         best = INFINITY
-        pools = [sorted(inst._allowed_sets[v]) for v in internal]
+        pools = [sorted(inst.allowed[v]) for v in internal]
         for combo in itertools.product(*pools):
             value.update(zip(internal, combo))
             total = 0.0
@@ -789,6 +789,45 @@ def test_instance_json_rejects_junk():
                 {"src": 0, "dst": 1, "table": [[0, 0.5], [0, 0]]}
             ]},
         )
+
+
+_TABLE = [[0, 5], [7, 1]]
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"domain_size": 2.5}, r"^domain_size must be an integer, got 2\.5$"),
+        ({"domain_size": True}, r"^domain_size must be an integer, got True$"),
+        ({"domain_size": "2"}, r"^domain_size must be an integer, got '2'$"),
+        ({"allowed": {"0": [0.7]}}, r"^allowed value must be an integer, got 0\.7$"),
+        ({"allowed": {"0": [False]}}, r"^allowed value must be an integer, got False$"),
+        ({"edge_costs": [{"src": 0.9, "dst": 1, "table": _TABLE}]}, r"^edge src must be an integer, got 0\.9$"),
+        ({"edge_costs": [{"src": 0, "dst": "1", "table": _TABLE}]}, r"^edge dst must be an integer, got '1'$"),
+        ({"vertex_costs": [{"v": 1.0, "costs": [0, 1]}]}, r"^vertex v must be an integer, got 1\.0$"),
+    ],
+)
+def test_json_indices_must_be_integers(obj, message):
+    d = decompose_source("a")
+    with pytest.raises(ValueError, match=message):
+        instance_from_json(d.cfg, {"domain_size": 2, **obj})
+
+
+@pytest.mark.parametrize("allowed", [[[0]], {"0": 0}, {"0": "01"}])
+def test_json_allowed_must_map_vertices_to_lists(allowed):
+    d = decompose_source("a")
+    with pytest.raises(ValueError, match="^allowed must map vertices to lists of values$"):
+        instance_from_json(d.cfg, {"domain_size": 2, "allowed": allowed})
+
+
+def test_allowed_values_are_not_truncated():
+    d = decompose_source("a")
+    with pytest.raises(TypeError):
+        PcspInstance(d.cfg, 2, allowed={0: [0.7]})
+    inst = PcspInstance(d.cfg, 2, allowed={0: [np.int64(1)], 1: np.array([0], dtype=np.uint8)})
+    assert inst.allowed[:2] == ((1,), (0,))
+    assert all(type(a) is int for a in inst.allowed[0] + inst.allowed[1])
+    assert inst.allowed_mask[:2].tolist() == [[INFINITY, 0.0], [0.0, INFINITY]]
 
 
 # ---------------------------------------------------------------------------

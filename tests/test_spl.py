@@ -4,17 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import OverlappingGraphsError, atomic, loop, node_graph, parallel, series
 from splcsp import gen, lang, spl
 from splcsp.spl import (
     Cfg,
     Edge,
     OpenProgramWarning,
-    OverlappingGraphsError,
-    atomic,
     decompose,
-    loop,
-    parallel,
-    series,
 )
 
 GCD_LOOP = """\
@@ -243,21 +239,21 @@ def test_node_counts_follow_the_operations(tree):
     d = decompose(tree)
     assert d.node_count == lang.count_nodes(tree)
     for i, node in enumerate(d.nodes):
-        g = d.node_graph(i)
+        g = node_graph(d, i)
         if node.kind in ("epsilon", "break", "continue"):
             assert (g.vertex_count, g.edge_count) == (4, 1)
         elif node.kind == "series":
-            l = d.node_graph(node.children[0])
-            r = d.node_graph(node.children[1])
+            l = node_graph(d, node.children[0])
+            r = node_graph(d, node.children[1])
             assert g.vertex_count == l.vertex_count + r.vertex_count - 3
             assert g.edge_count == l.edge_count + r.edge_count
         elif node.kind == "parallel":
-            l = d.node_graph(node.children[0])
-            r = d.node_graph(node.children[1])
+            l = node_graph(d, node.children[0])
+            r = node_graph(d, node.children[1])
             assert g.vertex_count == l.vertex_count + r.vertex_count - 4
             assert g.edge_count == l.edge_count + r.edge_count - len(node.duplicates)
         else:
-            c = d.node_graph(node.children[0])
+            c = node_graph(d, node.children[0])
             assert g.vertex_count == c.vertex_count + 4
             assert g.edge_count == c.edge_count + 5
         assert g.specials == node.specials
@@ -267,7 +263,7 @@ def test_node_counts_follow_the_operations(tree):
 @given(random_trees())
 def test_root_graph_is_the_cfg(tree):
     d = decompose(tree)
-    g = d.node_graph(d.root)
+    g = node_graph(d, d.root)
     assert g.vertices == frozenset(range(d.cfg.vertex_count))
     assert set(g.edges) == set(d.cfg.edge_map)
     assert g.specials == d.cfg.specials
