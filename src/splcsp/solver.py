@@ -13,9 +13,10 @@ O(d**3) and any node at most O(d**5), so the whole run is linear in |G|
 and the answer is exact.  The pass runs ready nodes of one kind and
 shape together, one stacked numpy call per step, so at small d its
 cost per node is a share of a call rather than a call.
-`oracle_solve` does the same by exhaustive enumeration, in numpy
-chunks of `_CHUNK` assignments, and exists to cross-check the solver
-on small instances.
+`oracle_solve` does the same by exhaustive enumeration and exists to
+cross-check the solver on small instances: it adds the cost tables
+into a broadcast tensor with one axis per unpinned vertex, a block of
+at most `_CHUNK` assignments at a time.
 
 An instance holds tables only, in one store: a read-only (k, d, d)
 stack of the distinct edge tables and a map from edge key to row, so
@@ -44,7 +45,7 @@ INFINITY = math.inf
 
 DEFAULT_ORACLE_BUDGET = 1 << 24
 
-# assignments `oracle_solve` scores per numpy pass
+# assignments in one block of `oracle_solve`'s cost tensor
 _CHUNK = 1 << 16
 
 # elements of a batch's largest intermediate: the forward pass runs
@@ -330,7 +331,8 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
         )
     vals = []
     for v in range(n):
-        a = int(assignment[v])
+        # ints, numpy's too; 0.9 is refused rather than truncated
+        a = operator.index(assignment[v])
         if not 0 <= a < instance.d:
             raise ValueError(f"value {a} for vertex {v} leaves the domain")
         vals.append(a)
@@ -706,45 +708,65 @@ def oracle_solve(
     Exponential; raises `BudgetExceededError` instead of attempting
     more than ``budget`` combinations.  Ties break toward the
     lexicographically first assignment (vertex 0 most significant).
+
+    Each vertex with two or more allowed values is an axis of a cost
+    tensor, in vertex order, so ``argmin``'s first minimum is the first
+    assignment.  A block of trailing axes (at most `_CHUNK` combinations,
+    at least one axis) is built one axis at a time, each term added at
+    its last axis; the leading axes are walked value by value.  Costs
+    are non-negative integers of at most 2**52 in total, so the float
+    sums are exact in any grouping.
     """
-    n = instance.cfg.vertex_count
     allowed = instance.allowed
-    combos = 1
-    for vals in allowed:
-        combos *= len(vals)
+    combos = math.prod(map(len, allowed))
     if combos > budget:
         raise BudgetExceededError(combos, budget)
-    if n == 0:
-        return Solution(0, {})
+    free = [v for v, vals in enumerate(allowed) if len(vals) > 1]
+    axis_of = dict(zip(free, itertools.count()))
+    sizes = [len(allowed[v]) for v in free]
+    lead, block = len(free), 1
+    while lead and (block * sizes[lead - 1] <= _CHUNK or lead == len(free)):
+        lead -= 1
+        block *= sizes[lead]
 
-    radices = [len(vals) for vals in allowed]
-    weights = [1] * n
-    for v in range(n - 2, -1, -1):
-        weights[v] = weights[v + 1] * radices[v + 1]
-    arrays = [np.array(vals, dtype=np.int64) for vals in allowed]
-    vt = instance.vertex_costs
+    # an int picks a pinned vertex's one value and drops its dimension
+    d = instance.d
+    pick = [vals[0] if len(vals) == 1 else slice(None) if len(vals) == d else np.array(vals) for vals in allowed]
+    terms = [((v,), row[pick[v]]) for v, row in enumerate(instance.vertex_costs)]
     stack = instance.edge_stack
-    best = INFINITY
-    best_k = -1
-    for lo in range(0, combos, _CHUNK):
-        hi = min(lo + _CHUNK, combos)
-        ks = np.arange(lo, hi, dtype=np.int64)
-        vals = [arrays[v][(ks // weights[v]) % radices[v]] for v in range(n)]
-        cost = np.zeros(hi - lo)
-        for v in range(n):
-            cost += vt[v][vals[v]]
-        for (src, dst), r in instance.edge_rows.items():
-            cost += stack[r][vals[src], vals[dst]]
-        j = int(np.argmin(cost))
-        c = float(cost[j])
-        if c < best:
-            best = c
-            best_k = lo + j
+    for (u, w), r in instance.edge_rows.items():
+        if u == w:
+            terms.append(((u,), stack[r].diagonal()[pick[u]]))
+        else:
+            tab = stack[r][pick[u], :][..., pick[w]]
+            terms.append(((u, w), tab) if u < w else ((w, u), tab.T))
+    # each term broadcast over the axes up to its last one, and the
+    # largest index it takes on each leading axis
+    placed = []
+    for vs, arr in terms:
+        axes = [axis_of[v] for v in vs if v in axis_of]
+        shape = [1] * (max(axes, default=-1) + 1)
+        for a in axes:
+            shape[a] = sizes[a]
+        placed.append((np.reshape(arr, shape), [s - 1 for s in shape[:lead]]))
+
+    best, best_k = INFINITY, -1
+    for outer, fixed in enumerate(itertools.product(*map(range, sizes[:lead]))):
+        consts, steps = [], [[] for _ in sizes[lead:]]
+        for arr, tops in placed:
+            part = arr[tuple(map(min, fixed, tops))]
+            (steps[part.ndim - 1] if part.ndim else consts).append(part)
+        cost = np.array(sum(consts, 0.0))
+        for group in steps:
+            cost = cost[..., None] + functools.reduce(np.add, group)
+        j = int(cost.argmin())
+        if cost.flat[j] < best:
+            best, best_k = float(cost.flat[j]), outer * block + j
     if math.isinf(best):
         return Solution(INFINITY, None)
-    assignment = {}
-    for v in range(n):
-        assignment[v] = int(allowed[v][(best_k // weights[v]) % radices[v]])
+    assignment = {v: vals[0] for v, vals in enumerate(allowed)}
+    for v, q in zip(free, np.unravel_index(best_k, sizes)):
+        assignment[v] = allowed[v][q]
     return Solution(int(best), assignment)
 
 

@@ -145,6 +145,9 @@ class Cfg:
                     )
                 )
         for e in edges:
+            # JSON integers only: True would pass as 1, 0.5 as an index
+            if type(e.src) is not int or type(e.dst) is not int:
+                raise ValueError(f"edge ({e.src!r}, {e.dst!r}): endpoints must be integers")
             if not (0 <= e.src < n and 0 <= e.dst < n):
                 raise ValueError(f"edge ({e.src}, {e.dst}) out of range for {n} vertices")
         spans: dict[int, tuple[Span, ...]] = {}

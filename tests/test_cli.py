@@ -404,6 +404,31 @@ def test_coloring_takes_budget_and_out(capsys, tmp_path):
     assert "unrecognized arguments: --oracle-check" in err
 
 
+@pytest.mark.parametrize("edge, named", [([True, 2], "(True, 2)"), ([0.5, 1], "(0.5, 1)")])
+def test_coloring_refuses_edge_endpoints_that_are_not_integers(capsys, tmp_path, edge, named):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertex_count": 3, "edges": [edge]}))
+    rc, out, err = run(capsys, "coloring", str(graph), "--colors", "2")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_coloring_with_a_self_loop(capsys, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertex_count": 3, "edges": [[0, 1], [1, 1], [1, 2]]}))
+    rc, out, _ = run(capsys, "coloring", str(graph), "--colors", "2")
+    assert rc == 0
+    # the self-loop conflicts whatever the color; nothing else need
+    assert json.loads(out) == {
+        "assignment": {"0": 0, "1": 1, "2": 0},
+        "colors": 2,
+        "conflicts": 1,
+        "min_cost": 1,
+    }
+
+
 # ---------------------------------------------------------------------------
 # gen and bench
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from reference import dp_tables, node_graph
 from splcsp import gen, lang, solver
+from splcsp.instances import build_graph_coloring
 from splcsp.solver import (
     INFINITY,
     BudgetExceededError,
@@ -25,7 +26,7 @@ from splcsp.solver import (
     oracle_solve,
     solve,
 )
-from splcsp.spl import decompose
+from splcsp.spl import Cfg, decompose
 
 
 def decompose_source(src):
@@ -79,6 +80,15 @@ def test_evaluate_hits_infinite_entries():
     inst = PcspInstance(d.cfg, 2, edge_costs={(0, 1): [[INFINITY, 0], [0, 0]]})
     assert evaluate(inst, {0: 0, 1: 0, 2: 0, 3: 0}) == INFINITY
     assert evaluate(inst, {0: 0, 1: 1, 2: 0, 3: 0}) == 0
+
+
+def test_evaluate_refuses_values_that_are_not_integers():
+    d = decompose_source("a")
+    inst = PcspInstance(d.cfg, 2, vertex_costs=[[0, 5]] * d.cfg.vertex_count)
+    for bad in (0.9, 1.0, "1"):
+        with pytest.raises((TypeError, ValueError)):
+            evaluate(inst, {0: bad, 1: 0, 2: 0, 3: 0})
+    assert evaluate(inst, {0: np.int64(1), 1: np.uint8(0), 2: 0, 3: 0}) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +317,8 @@ def test_oracle_breaks_ties_lexicographically_small():
 
 
 def test_oracle_breaks_ties_lexicographically_large():
-    # enough vertices that enumeration goes through the vectorized path
+    # 2**13 assignments with one vertex in the middle pinned: every
+    # other vertex takes its first value
     d = decompose_source("; ".join("abcdefghij"))
     n = d.cfg.vertex_count
     assert 2 ** n > 4096
@@ -348,6 +359,112 @@ def test_oracle_witness_does_not_depend_on_chunk_size(monkeypatch, chunk):
             combos = itertools.product(*inst.allowed)
             first = min(combos, key=lambda c: evaluate(inst, dict(enumerate(c))))
             assert sol.assignment == dict(enumerate(first))
+
+
+def brute_first_minimum(inst):
+    """The lexicographically first minimum, by `itertools.product`."""
+    costs = {c: evaluate(inst, dict(enumerate(c))) for c in itertools.product(*inst.allowed)}
+    best = min(costs.values())
+    if math.isinf(best):
+        return Solution(INFINITY, None)
+    return Solution(best, dict(enumerate(min(costs, key=costs.get))))
+
+
+def chain_cfg(statements):
+    return decompose_source("; ".join(f"s{i}" for i in range(statements))).cfg
+
+
+@pytest.mark.parametrize("chunk", [2, 4, 16, 1 << 16])
+def test_oracle_first_minimum_across_block_boundaries(monkeypatch, chunk):
+    monkeypatch.setattr(solver, "_CHUNK", chunk)
+    cfg = chain_cfg(5)
+    n = cfg.vertex_count
+    # every cost zero: the first block's first assignment
+    flat = PcspInstance(cfg, 2, vertex_costs=[[0, 0]] * n)
+    # vertex 0 prefers 1: the first assignment of the second half
+    late = PcspInstance(cfg, 2, vertex_costs=[[1, 0]] + [[0, 0]] * (n - 1))
+    # the last assignment of the first half ties with the very last one
+    edge = PcspInstance(cfg, 2, vertex_costs=[[0, 0]] + [[1, 0]] * (n - 1))
+    # only the very last assignment is finite
+    last = PcspInstance(cfg, 2, vertex_costs=[[INFINITY, 0]] * n)
+    for inst in (flat, late, edge, last):
+        assert oracle_solve(inst) == brute_first_minimum(inst)
+    assert oracle_solve(flat).assignment == dict.fromkeys(range(n), 0)
+    assert oracle_solve(late).assignment == {0: 1, **dict.fromkeys(range(1, n), 0)}
+    assert oracle_solve(edge).assignment == {0: 0, **dict.fromkeys(range(1, n), 1)}
+    assert oracle_solve(last) == Solution(0, dict.fromkeys(range(n), 1))
+    for inst in tie_heavy_instances():
+        assert oracle_solve(inst) == brute_first_minimum(inst)
+
+
+def test_oracle_on_a_coloring_graph_with_self_loops():
+    graph = Cfg.from_json({"vertex_count": 5, "edges": [[0, 1], [1, 1], [1, 2], [2, 0], [3, 3], [3, 4]]})
+    for colors in (1, 2, 3):
+        inst = build_graph_coloring(graph, colors)
+        assert oracle_solve(inst) == brute_first_minimum(inst)
+    # a self-loop always conflicts; with three colors nothing else does
+    assert oracle_solve(build_graph_coloring(graph, 3)).min_cost == 2
+    assert oracle_solve(build_graph_coloring(graph, 1)).min_cost == 6
+    pinned = PcspInstance(graph, 3, {(1, 1): [[0, 0, 0], [0, 0, 0], [0, 0, 5]]}, allowed={1: [2]})
+    assert oracle_solve(pinned) == Solution(5, {0: 0, 1: 2, 2: 0, 3: 0, 4: 0})
+
+
+def test_oracle_with_most_of_forty_vertices_pinned():
+    rng = np.random.default_rng(5)
+    cfg = chain_cfg(40)
+    n = cfg.vertex_count
+    assert n >= 40
+    free = {3, 11, 12, 20, 29, 35, n - 1}
+    allowed = {v: [int(rng.integers(3))] for v in range(n) if v not in free}
+    allowed[11] = [0, 2]
+    edges = rng.integers(0, 4, size=(len(cfg.edges), 3, 3)).astype(float)
+    # INFINITY only next to a free vertex, so some assignment is finite
+    for tab, e in zip(edges, cfg.edges):
+        if {e.src, e.dst} & free:
+            tab[rng.random((3, 3)) < 0.1] = INFINITY
+    inst = PcspInstance(cfg, 3, edges, rng.integers(0, 4, size=(n, 3)), allowed)
+    assert math.prod(map(len, inst.allowed)) == 2 * 3**6
+    want = brute_first_minimum(inst)
+    assert want.assignment is not None
+    assert oracle_solve(inst) == want
+    # every vertex pinned: one assignment, priced by evaluate
+    one = PcspInstance(cfg, 3, edges, rng.integers(0, 4, size=(n, 3)), {v: [v % 3] for v in range(n)})
+    assert oracle_solve(one) == brute_first_minimum(one)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_oracle_with_pinned_vertices_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    instances = []
+    for seed in range(12):
+        d = decompose(gen.gen_random_program(gen.GenConfig(seed=seed, size=2 + seed % 3)))
+        domain = 3 if 3 ** d.cfg.vertex_count <= 1 << 12 else 2
+        inst = gen.random_instance(d.cfg, domain, seed=seed, high=2, inf_prob=0.2, restrict_prob=0.3)
+        # pin every third vertex, and the last one, on top
+        allowed = dict(enumerate(inst.allowed))
+        for v in [*range(seed % 3, d.cfg.vertex_count, 3), d.cfg.vertex_count - 1]:
+            allowed[v] = allowed[v][-1:]
+        instances.append(PcspInstance(d.cfg, domain, inst.edge_stack, inst.vertex_costs, allowed))
+    want = [oracle_solve(inst) for inst in instances]
+    monkeypatch.setattr(solver, "_CHUNK", chunk)
+    assert [oracle_solve(inst) for inst in instances] == want
+    for inst, sol in zip(instances, want):
+        assert sol == brute_first_minimum(inst)
+
+
+def test_oracle_memory_stays_within_a_few_chunks():
+    # 20 vertices, 22 edges, no restricted set: 2**20 assignments
+    decomp = decompose(gen.gen_random_program(gen.GenConfig(seed=33, size=9)))
+    inst = gen.random_instance(decomp.cfg, 2, seed=33, inf_prob=0.1, restrict_prob=0.0)
+    assert math.prod(map(len, inst.allowed)) == 1 << 20
+    want = oracle_solve(inst)
+    tracemalloc.start()
+    try:
+        assert oracle_solve(inst) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * solver._CHUNK * 8, peak
+    assert want.min_cost == solve(inst, decomp).min_cost
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,14 @@ def test_cfg_json_terse_form():
         Cfg.from_json({"vertex_count": 2, "edges": [[0, 5]]})
 
 
+@pytest.mark.parametrize(
+    "edge", [[True, 2], [0, False], [0.5, 1], [1, 2.0], ["0", 1], {"src": 0, "dst": True}]
+)
+def test_cfg_json_edge_endpoints_must_be_integers(edge):
+    with pytest.raises(ValueError, match="endpoints must be integers"):
+        Cfg.from_json({"vertex_count": 3, "edges": [edge]})
+
+
 def test_cfg_dot_output():
     d = decompose_source("if p then a; b else c fi")
     dot = d.cfg.to_dot()
