@@ -2,9 +2,9 @@
 
 A subgraph of a CFG has four special vertices: start S, terminate T,
 break target B and continue target C.  ``decompose`` builds a
-program's CFG in linear time, with a union-find over pre-allocated
-vertex ids, and records in post-order the operation that builds each
-subgraph:
+program's CFG in linear time, in one post-order pass that hands each
+subtree its four specials from above, and records in post-order the
+operation that builds each subgraph:
 
 * an atom: a statement edge S->T, a break edge S->B or a continue edge
   S->C, on four fresh vertices,
@@ -128,12 +128,16 @@ class Cfg:
     def from_json(cls, obj: dict) -> "Cfg":
         """Inverse of `to_json`; also accepts the terse ad-hoc form
         ``{"vertex_count": n, "edges": [[src, dst], ...]}``."""
-        n = obj["vertex_count"]
+        n = obj.get("vertex_count") if isinstance(obj, dict) else None
+        # JSON integers only: True would pass as 1, 2.0 and "3" as counts
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex_count must be a non-negative integer, got {n!r}")
         edges = []
         for item in obj.get("edges", []):
-            if isinstance(item, (list, tuple)):
-                src, dst = item
-                edges.append(Edge(src, dst, STMT))
+            if isinstance(item, (list, tuple)) and len(item) == 2:
+                edges.append(Edge(item[0], item[1], STMT))
+            elif not (isinstance(item, dict) and "src" in item and "dst" in item):
+                raise ValueError(f"edge {item!r}: expected [src, dst] or an object with both")
             else:
                 edges.append(
                     Edge(
@@ -199,7 +203,9 @@ class DecompNode:
     ``specials`` are final CFG ids of this subgraph's S, T, B, C.
     ``merged`` is the merge point of a series node; ``duplicates`` the
     collapsed edges of a parallel node.  ``base`` is the first raw id
-    allocated by an atom or loop (used to replay construction).
+    of an atom or loop: raw ids number each atom's and loop's four
+    specials in post-order, the numbering ``tests/reference.py``
+    replays the construction in.
     """
 
     kind: str  # epsilon | break | continue | series | parallel | loop
@@ -213,48 +219,13 @@ class DecompNode:
     base: int = -1
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: list[int] = []
-
-    def add(self, count: int) -> int:
-        first = len(self.parent)
-        self.parent.extend(range(first, first + count))
-        return first
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the classes of a and b; the smaller root survives."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        keep, drop = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[drop] = keep
-        return keep
-
-
-class _Rec:
-    """Per-subtree state during decompose: raw specials and which of
-    the edges S->T / S->B / S->C the subgraph contains (the only shapes
-    that can collide at a parallel node)."""
-
-    __slots__ = ("s", "t", "b", "c", "st", "sb", "sc")
-
-    def __init__(self, s, t, b, c, st, sb, sc):
-        self.s, self.t, self.b, self.c = s, t, b, c
-        self.st, self.sb, self.sc = st, sb, sc
-
-
 @dataclass
 class Decomposition:
-    """Operation tree (post-order, root last) plus the finished CFG."""
+    """Operation tree (post-order, root last) plus the finished CFG.
+
+    ``final_of_raw`` maps each raw id (see `DecompNode.base`) to its
+    CFG id.
+    """
 
     nodes: tuple[DecompNode, ...]
     cfg: Cfg
@@ -306,98 +277,93 @@ def decompose(tree: Stmt) -> Decomposition:
             stacklevel=2,
         )
 
-    uf = _UnionFind()
-    raw_edges: list[Edge] = []
-    recs: list[_Rec] = []
-    meta: list[tuple] = []  # (kind, children, span, text, guard, merged_raw, dup_shapes, base)
-
-    stack: list[tuple[Stmt, int]] = [(tree, 0)]
-    results: list[int] = []
+    # Each subtree is handed its S, T, B, C as vertex classes: the root
+    # gets 0-3, a ``;`` a new merge class, a ``while`` body four new
+    # ones.  A class gets its CFG id when an atom or loop first creates
+    # one of its vertices, in post-order and S, T, B, C order.
+    ids = [-1] * 4  # CFG id of each class, -1 until created
+    vertex_count = 0
+    final_of_raw: list[int] = []
+    # (src, dst) -> label and text; the first edge wins, so a collapsed
+    # edge keeps its left operand's
+    edge_info: dict[tuple[int, int], tuple[str, str | None]] = {}
+    nodes: list[DecompNode] = []
+    spans: dict[int, list[Span]] = {}
+    # per finished subtree: its node and which of the edges S->T (1),
+    # S->B (2), S->C (4) it has, the only ones a parallel node collapses
+    results: list[tuple[int, int]] = []
+    stack: list[tuple[Stmt, tuple[int, int, int, int], bool]] = [(tree, (0, 1, 2, 3), False)]
     while stack:
-        node, state = stack.pop()
-        kids = lang.children(node)
-        if state < len(kids):
-            stack.append((node, state + 1))
-            stack.append((kids[state], 0))
+        node, classes, expanded = stack.pop()
+        s, t, b, c = classes
+        if not expanded and isinstance(node, (lang.Seq, lang.If, lang.While)):
+            stack.append((node, classes, True))
+            new = len(ids)
+            if isinstance(node, lang.Seq):
+                ids.append(-1)
+                stack += ((node.right, (new, t, b, c), False), (node.left, (s, new, b, c), False))
+            elif isinstance(node, lang.If):
+                stack += ((node.else_branch, classes, False), (node.then_branch, classes, False))
+            else:
+                ids += (-1, -1, -1, -1)
+                stack.append((node.body, (new, new + 1, new + 2, new + 3), False))
             continue
 
-        if isinstance(node, lang.Epsilon):
-            base = uf.add(4)
-            s, t, b, c = base, base + 1, base + 2, base + 3
-            raw_edges.append(Edge(s, t, STMT, node.text))
-            recs.append(_Rec(s, t, b, c, True, False, False))
-            meta.append(("epsilon", (), node.span, node.text, None, None, (), base))
-        elif isinstance(node, lang.Break):
-            base = uf.add(4)
-            s, t, b, c = base, base + 1, base + 2, base + 3
-            raw_edges.append(Edge(s, b, BREAK))
-            recs.append(_Rec(s, t, b, c, False, True, False))
-            meta.append(("break", (), node.span, None, None, None, (), base))
-        elif isinstance(node, lang.Continue):
-            base = uf.add(4)
-            s, t, b, c = base, base + 1, base + 2, base + 3
-            raw_edges.append(Edge(s, c, CONTINUE))
-            recs.append(_Rec(s, t, b, c, False, False, True))
-            meta.append(("continue", (), node.span, None, None, None, (), base))
-        elif isinstance(node, lang.Seq):
-            right = results.pop()
-            left = results.pop()
-            lv, rv = recs[left], recs[right]
-            m = uf.union(lv.t, rv.s)
-            bb = uf.union(lv.b, rv.b)
-            cc = uf.union(lv.c, rv.c)
+        if not isinstance(node, (lang.Seq, lang.If)):
+            # an atom or loop creates one vertex of each of its classes
+            for k in classes:
+                if ids[k] < 0:
+                    ids[k] = vertex_count
+                    vertex_count += 1
+        S, T, B, C = specials = (ids[s], ids[t], ids[b], ids[c])
+        base = len(final_of_raw)
+        if isinstance(node, lang.Seq):
+            (right, rmask), (left, lmask) = results.pop(), results.pop()
+            merged = nodes[left].specials[1]
+            op = DecompNode("series", (left, right), specials, node.span, merged=merged)
             # an S->B / S->C edge survives only from the left operand:
             # the right operand's S becomes the internal merge point
-            recs.append(_Rec(lv.s, rv.t, bb, cc, False, lv.sb, lv.sc))
-            meta.append(("series", (left, right), node.span, None, None, lv.t, (), -1))
+            mask = lmask & 6
         elif isinstance(node, lang.If):
-            right = results.pop()
-            left = results.pop()
-            lv, rv = recs[left], recs[right]
-            ss = uf.union(lv.s, rv.s)
-            tt = uf.union(lv.t, rv.t)
-            bb = uf.union(lv.b, rv.b)
-            cc = uf.union(lv.c, rv.c)
-            dups = []
-            if lv.st and rv.st:
-                dups.append("st")
-            if lv.sb and rv.sb:
-                dups.append("sb")
-            if lv.sc and rv.sc:
-                dups.append("sc")
-            recs.append(_Rec(ss, tt, bb, cc, lv.st or rv.st, lv.sb or rv.sb, lv.sc or rv.sc))
-            meta.append(("parallel", (left, right), node.span, None, node.guard, None, tuple(dups), -1))
+            (right, rmask), (left, lmask) = results.pop(), results.pop()
+            shapes = ((1, (S, T)), (2, (S, B)), (4, (S, C)))
+            dups = tuple(edge for bit, edge in shapes if lmask & rmask & bit)
+            op = DecompNode(
+                "parallel", (left, right), specials, node.span, guard=node.guard, duplicates=dups
+            )
+            mask = lmask | rmask
+        elif isinstance(node, lang.Epsilon):
+            edge_info.setdefault((S, T), (STMT, node.text))
+            op = DecompNode("epsilon", (), specials, node.span, text=node.text, base=base)
+            mask = 1
+        elif isinstance(node, lang.Break):
+            edge_info.setdefault((S, B), (BREAK, None))
+            op = DecompNode("break", (), specials, node.span, base=base)
+            mask = 2
+        elif isinstance(node, lang.Continue):
+            edge_info.setdefault((S, C), (CONTINUE, None))
+            op = DecompNode("continue", (), specials, node.span, base=base)
+            mask = 4
         elif isinstance(node, lang.While):
-            child = results.pop()
-            cv = recs[child]
-            base = uf.add(4)
-            s, t = base, base + 1
-            raw_edges.append(Edge(s, cv.s, LOOP_ENTER, node.guard))
-            raw_edges.append(Edge(s, t, LOOP_EXIT, node.guard))
-            raw_edges.append(Edge(cv.t, s, LOOP_BACK))
-            raw_edges.append(Edge(cv.c, s, LOOP_BACK))
-            raw_edges.append(Edge(cv.b, t, LOOP_EXIT))
-            recs.append(_Rec(s, t, base + 2, base + 3, True, False, False))
-            meta.append(("loop", (child,), node.span, None, node.guard, None, (), base))
+            child = results.pop()[0]
+            s1, t1, b1, c1 = nodes[child].specials
+            edge_info.setdefault((S, s1), (LOOP_ENTER, node.guard))
+            edge_info.setdefault((S, T), (LOOP_EXIT, node.guard))
+            edge_info.setdefault((t1, S), (LOOP_BACK, None))
+            edge_info.setdefault((c1, S), (LOOP_BACK, None))
+            edge_info.setdefault((b1, T), (LOOP_EXIT, None))
+            op = DecompNode("loop", (child,), specials, node.span, guard=node.guard, base=base)
+            mask = 1
         else:
             raise TypeError(f"not a parse tree node: {node!r}")
-        results.append(len(recs) - 1)
+        if op.base >= 0:
+            final_of_raw += specials
+            for v in specials:
+                spans.setdefault(v, []).append(node.span)
+        nodes.append(op)
+        results.append((len(nodes) - 1, mask))
 
-    raw_count = len(uf.parent)
-    rep = [uf.find(v) for v in range(raw_count)]
-    survivors = sorted(set(rep))
-    dense = {r: i for i, r in enumerate(survivors)}
-    final_of_raw = tuple(dense[r] for r in rep)
-
-    def fid(raw: int) -> int:
-        return final_of_raw[raw]
-
-    # collapse duplicate edges (first occurrence wins) and relabel branches
-    edge_info: dict[tuple[int, int], tuple[str, str | None]] = {}
-    for e in raw_edges:
-        key = (fid(e.src), fid(e.dst))
-        if key not in edge_info:
-            edge_info[key] = (e.label, e.text)
+    # relabel the out-edges of every vertex with two or more as branches
     out_deg: dict[int, list[int]] = {}
     for src, dst in edge_info:
         out_deg.setdefault(src, []).append(dst)
@@ -409,45 +375,16 @@ def decompose(tree: Stmt) -> Decomposition:
         else:
             final_edges.append(Edge(src, dst, label, text))
 
-    nodes = []
-    spans: dict[int, list[Span]] = {}
-    for rec, (kind, kid_ix, span, text, guard, merged_raw, dup_shapes, base) in zip(recs, meta):
-        specials = (fid(rec.s), fid(rec.t), fid(rec.b), fid(rec.c))
-        dups = tuple(
-            {
-                "st": (specials[0], specials[1]),
-                "sb": (specials[0], specials[2]),
-                "sc": (specials[0], specials[3]),
-            }[shape]
-            for shape in dup_shapes
-        )
-        nodes.append(
-            DecompNode(
-                kind=kind,
-                children=kid_ix,
-                specials=specials,
-                span=span,
-                text=text,
-                guard=guard,
-                merged=fid(merged_raw) if merged_raw is not None else None,
-                duplicates=dups,
-                base=base,
-            )
-        )
-        if base >= 0:
-            for v in specials:
-                spans.setdefault(v, []).append(span)
-
-    root_rec = recs[results[-1]]
+    root = nodes[-1].specials
     cfg = Cfg(
-        vertex_count=len(survivors),
+        vertex_count=vertex_count,
         edges=tuple(final_edges),
-        entry=fid(root_rec.s),
-        exit=fid(root_rec.t),
-        specials=(fid(root_rec.s), fid(root_rec.t), fid(root_rec.b), fid(root_rec.c)),
+        entry=root[0],
+        exit=root[1],
+        specials=root,
         spans={v: tuple(ss) for v, ss in spans.items()},
     )
-    return Decomposition(tuple(nodes), cfg, final_of_raw)
+    return Decomposition(tuple(nodes), cfg, tuple(final_of_raw))
 
 
 def cfg_json_dumps(obj: dict) -> str:

@@ -415,6 +415,29 @@ def test_coloring_refuses_edge_endpoints_that_are_not_integers(capsys, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "graph, named",
+    [
+        ({"vertex_count": True, "edges": []}, "vertex_count"),
+        ({"vertex_count": 2.0, "edges": []}, "vertex_count"),
+        ({"vertex_count": "3", "edges": []}, "vertex_count"),
+        ({"vertex_count": -1, "edges": []}, "vertex_count"),
+        ({"edges": []}, "vertex_count"),
+        ({"vertex_count": 3, "edges": [[0]]}, "edge [0]"),
+        ({"vertex_count": 3, "edges": [[0, 1, 2]]}, "edge [0, 1, 2]"),
+        ({"vertex_count": 3, "edges": [{"src": 0}]}, "edge {'src': 0}"),
+    ],
+)
+def test_coloring_refuses_a_bad_vertex_count_or_edge_shape(capsys, tmp_path, graph, named):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    rc, out, err = run(capsys, "coloring", str(path), "--colors", "2")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
 def test_coloring_with_a_self_loop(capsys, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps({"vertex_count": 3, "edges": [[0, 1], [1, 1], [1, 2]]}))

@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
 import json
+import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +308,60 @@ def test_decompose_deterministic(tree):
 
 
 # ---------------------------------------------------------------------------
+# decompose: numbering pinned at scale
+
+
+def _gen_source(seed, size, **weights):
+    tree = gen.gen_random_program(gen.GenConfig(seed=seed, size=size, **weights))
+    return lang.pretty_print(tree)
+
+
+PINNED_PROGRAMS = {
+    "gen-60": lambda: _gen_source(60, 60),
+    "gen-300": lambda: _gen_source(300, 300),
+    "gen-2000": lambda: _gen_source(2000, 2000),
+    "jumps-300": lambda: _gen_source(7, 300, p_break=0.3, p_continue=0.3),
+    "open": lambda: (
+        "a := 1; if p then break else b fi; continue;\n"
+        "while q do c; if r then break else continue fi od; break; d"
+    ),
+    "nest-2000": lambda: "while p do " * 2000 + "a" + " od" * 2000,
+    "chain-5000": lambda: "; ".join(f"x{i} := {i}" for i in range(5000)),
+}
+
+# sha256 of each program's CFG, nodes and `final_of_raw` as flat JSON
+# (the nested tree JSON grows with the square of the nesting depth)
+PINNED_DIGESTS = {
+    "chain-5000": "b8c12b1bbb57c9f0d7abc5c86d63a230ee39128245bcb0806d5d411d5da03463",
+    "gen-2000": "bc94191f11326eecda3ad7def13ed4b1eb637256d919a47f80f495647ba06f06",
+    "gen-300": "0bdf893c30b86a9a6cad80e4bbf6ef1797d8ca86cb87c7b7128ffc383bcdaac3",
+    "gen-60": "0bee90c87be8013e9edc74660f2f7745457cd49134939444513ddbd8aeb422af",
+    "jumps-300": "e35b2bb746be55af6460457116e22cd6ffab7fed84c058b9c951cd76c0246c2e",
+    "nest-2000": "87c16f436402009ddb27e0174cf0360c4f6fb332513ba6acff737d768e3d2cc8",
+    "open": "09d939be93d141bfc961bac2b50402c8ba67923c6e038a9608479a1f6f10674c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PROGRAMS))
+def test_decompose_numbering_is_pinned(name):
+    tree = lang.parse_program(PINNED_PROGRAMS[name]())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d = decompose(tree)
+    opened = [w for w in caught if issubclass(w.category, OpenProgramWarning)]
+    assert len(opened) == (name == "open")
+    flat = [d.cfg.to_json(), [dataclasses.astuple(n) for n in d.nodes], d.final_of_raw]
+    digest = hashlib.sha256(json.dumps(flat, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("tree", ["a", lang.Seq(lang.Epsilon("a"), 5)])
+def test_decompose_refuses_what_is_not_a_parse_tree(tree):
+    with pytest.raises(TypeError, match="not a parse tree node"):
+        decompose(tree)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -333,6 +391,30 @@ def test_cfg_json_terse_form():
 def test_cfg_json_edge_endpoints_must_be_integers(edge):
     with pytest.raises(ValueError, match="endpoints must be integers"):
         Cfg.from_json({"vertex_count": 3, "edges": [edge]})
+
+
+@pytest.mark.parametrize(
+    "graph, named",
+    [
+        ({"vertex_count": True, "edges": []}, "vertex_count"),
+        ({"vertex_count": 2.0, "edges": []}, "vertex_count"),
+        ({"vertex_count": "3", "edges": []}, "vertex_count"),
+        ({"vertex_count": -1, "edges": []}, "vertex_count"),
+        ({"edges": [[0, 1]]}, "vertex_count"),
+        ([[0, 1]], "vertex_count"),
+        ({"vertex_count": 3, "edges": [[0]]}, "edge [0]"),
+        ({"vertex_count": 3, "edges": [[0, 1, 2]]}, "edge [0, 1, 2]"),
+        ({"vertex_count": 3, "edges": [{"dst": 1}]}, "edge {'dst': 1}"),
+        ({"vertex_count": 3, "edges": [5]}, "edge 5"),
+    ],
+)
+def test_cfg_json_refuses_a_bad_count_or_edge_shape(graph, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        Cfg.from_json(graph)
+
+
+def test_cfg_json_accepts_an_empty_graph():
+    assert Cfg.from_json({"vertex_count": 0}).vertex_count == 0
 
 
 def test_cfg_dot_output():
