@@ -12,7 +12,12 @@ touch.  A node whose subgraph holds no break or continue costs
 O(d**3) and any node at most O(d**5), so the whole run is linear in |G|
 and the answer is exact.  The pass runs ready nodes of one kind and
 shape together, one stacked numpy call per step, so at small d its
-cost per node is a share of a call rather than a call.
+cost per node is a share of a call rather than a call.  A chain of k
+statements joined by ``;`` is regrouped as a balanced tree, so it takes
+about log2 k steps rather than k, and the minimizing assignment is read
+back by walking the recorded batches in reverse.  The assignment is an
+optimal one; which of several optimal assignments `solve` returns is
+not specified.
 `oracle_solve` does the same by exhaustive enumeration and exists to
 cross-check the solver on small instances: it adds the cost tables
 into a broadcast tensor with one axis per unpinned vertex, a block of
@@ -83,6 +88,24 @@ class BudgetExceededError(RuntimeError):
         )
         self.combinations = combinations
         self.budget = budget
+
+
+def _masked(costs: np.ndarray, allowed: tuple) -> np.ndarray:
+    """``costs``, an (n, d) array, with INFINITY written in place at
+    every value outside its vertex's allowed set.  The restricted rows
+    are set in one fancy-index assignment, not a numpy call per
+    vertex."""
+    d = costs.shape[1]
+    restricted = [v for v, vals in enumerate(allowed) if len(vals) < d]
+    sets = list(map(allowed.__getitem__, restricted))
+    index = (
+        np.repeat(np.array(restricted, dtype=np.intp), list(map(len, sets))),
+        np.fromiter(itertools.chain.from_iterable(sets), np.intp),
+    )
+    kept = costs[index]
+    costs[restricted] = INFINITY
+    costs[index] = kept
+    return costs
 
 
 def _floats(costs) -> np.ndarray:
@@ -279,17 +302,8 @@ class PcspInstance:
     @functools.cached_property
     def allowed_mask(self) -> np.ndarray:
         """``allowed`` as a read-only (n, d) array: 0 at an allowed
-        value, INFINITY elsewhere.  Its restricted rows are set in one
-        fancy-index assignment, not a numpy call per vertex."""
-        d = self.d
-        restricted = [v for v, vals in enumerate(self.allowed) if len(vals) < d]
-        sets = list(map(self.allowed.__getitem__, restricted))
-        mask = np.zeros((len(self.allowed), d))
-        mask[restricted] = INFINITY
-        mask[
-            np.repeat(np.array(restricted, dtype=np.intp), list(map(len, sets))),
-            np.fromiter(itertools.chain.from_iterable(sets), np.intp),
-        ] = 0.0
+        value, INFINITY elsewhere."""
+        mask = _masked(np.zeros((len(self.allowed), self.d)), self.allowed)
         mask.setflags(write=False)
         return mask
 
@@ -387,20 +401,25 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # its sums a few rows at a time.  Following the lowest ready node keeps
 # the pass near post-order, so few finished tables wait for their
 # parents, where height levels would hold every leaf's table at once.
-# Chains of series nodes, each waiting for the one before, set the
-# number of steps.
+#
+# A chain of series nodes would run one link per step, each waiting for
+# the one before.  Series composition is a min-plus product over the
+# merge point, so it is associative: `_execution_tree` regroups every
+# long chain as a balanced tree over the same operands, whose root
+# table is the same, and the chain takes about log2 k steps.  Its
+# nodes take the chain's indices in post-order, so each runs soon
+# after its operands are done and a chain holds about log2 k pending
+# tables, not k.  Ties between equal sums may break differently than
+# in a left-deep chain.
 #
 # A batch's results stay stacked: tables[i] is a view into its batch's
-# array, and choices[i] is its batch's argmin array (a triple at a
-# loop), read at row ranks[i].  Choices use the smallest unsigned dtype
-# that holds their index range and are read with index 0 on length-1
-# axes.
-
-
-def _at(arr: np.ndarray, *index: int) -> int:
-    """``arr[index]``, reading index 0 on the length-1 axes: each index
-    is taken modulo its axis length."""
-    return arr.item(tuple(map(operator.mod, index, arr.shape)))
+# array.  Each series or loop batch records its argmin array (a triple
+# at a loop) and its nodes, in the order the batches ran.  The
+# backtrack walks the records in reverse, so the specials of every node
+# are chosen before its record is read: a series node's choice is its
+# merge point, a loop's are its child's specials.  Choices use the
+# smallest unsigned dtype that holds their index range and are read
+# with index 0 on length-1 axes.
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -430,32 +449,14 @@ def _sum_min(a: np.ndarray, b: np.ndarray, axis: int, dtype) -> tuple[np.ndarray
     return z.argmin(axis=1).astype(dtype), np.minimum.reduce(z, axis=1)
 
 
+# the fewest operands of a chain that `_execution_tree` regroups.  A
+# chain of k operands takes k - 1 steps one link at a time and about
+# log2 k + 1 as a balanced tree, so below 8 it saves at most four
+# steps, and small programs keep their decomposition as it is.
+_CHAIN = 8
+
 # the axis of a leaf's target in its (S, T, B, C) table
 _TARGET_AXIS = {"epsilon": 1, "break": 2, "continue": 3}
-
-
-def _class_of(node, nodes, tables: list, leaf_shapes: dict) -> tuple:
-    """The batch class of a node whose inner children are done: its
-    kind, its children's table shapes and, at a parallel node, the
-    axis each collapsed edge lands on."""
-    kind = node.kind
-    if kind == "loop":
-        (c,) = node.children
-        return kind, tables[c].shape if nodes[c].children else leaf_shapes[nodes[c].kind]
-    if not node.children:
-        return (kind,)
-    if kind != "series" and kind != "parallel":
-        raise ValueError(f"unknown node kind: {kind!r}")
-    left, right = node.children
-    lshape = tables[left].shape if nodes[left].children else leaf_shapes[nodes[left].kind]
-    rshape = tables[right].shape if nodes[right].children else leaf_shapes[nodes[right].kind]
-    if kind == "series":
-        return kind, lshape, rshape
-    axes = ()
-    if node.duplicates:
-        _, T, B, _ = node.specials
-        axes = tuple(1 if dst == T else 2 if dst == B else 3 for _, dst in node.duplicates)
-    return kind, lshape, rshape, axes
 
 
 def _widest(key: tuple, d: int) -> int:
@@ -473,23 +474,98 @@ def _widest(key: tuple, d: int) -> int:
     return d * max(lt, rt) * max(lb, rb) * max(lc, rc)
 
 
-def _forward(instance: PcspInstance, decomp: Decomposition):
-    """Each node's table, its batch's choices and its row in them; a
-    table is dropped once its parent has run, so only the root's
-    stays."""
+def _execution_tree(nodes) -> tuple[list, list]:
+    """Each node's children and specials in the tree that the forward
+    pass runs; a series node's merge point is its left child's T.
+
+    It is the decomposition, except that every chain of at least
+    `_CHAIN` operands, a series node and the series nodes down its left
+    spine, as the parser builds ``a; b; c; ...``, is regrouped as a
+    balanced tree over the same operands, left to right.  The new
+    tree's nodes take the places of the chain's series nodes in
+    post-order, so its root takes the top's, with its index and its
+    specials."""
+    kids = [node.children for node in nodes]
+    spec = [node.specials for node in nodes]
+    # series nodes not yet in a chain; a top is the highest one left,
+    # since a series parent would have taken it along as its left child
+    series = bytearray(map("series".__eq__, map(operator.attrgetter("kind"), nodes)))
+    top = series.rfind(1)
+    while top >= 0:
+        # the chain's series nodes, and its operands right to left; a
+        # right operand that is a series node heads a chain of its own
+        places, ops, i = [], [], top
+        while series[i]:
+            series[i] = 0
+            places.append(i)
+            i, right = kids[i]
+            ops.append(right)
+        ops.append(i)
+        if len(ops) >= _CHAIN:
+            # down the spine, the places come highest first
+            place = iter(reversed(places)).__next__
+            _, _, b, c = spec[top]
+
+            def join(left: int, right: int) -> int:
+                i = place()
+                kids[i] = (left, right)
+                spec[i] = (spec[left][0], spec[right][1], b, c)
+                return i
+
+            # as in a binary counter, the j-th operand from the left
+            # joins the groups of 1, 2, 4, ... operands before it, one
+            # per trailing zero bit of j, and the groups left at the end
+            # join from the right; the tree is at most log2 k + 1 high
+            groups: list[int] = []
+            for j, g in enumerate(reversed(ops), 1):
+                for _ in range((j & -j).bit_length() - 1):
+                    g = join(groups.pop(), g)
+                groups.append(g)
+            g = groups.pop()
+            while groups:
+                g = join(groups.pop(), g)
+        top = series.rfind(1, 0, top)
+    return kids, spec
+
+
+def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray, np.ndarray, list, tuple]:
+    """The root's table, each vertex's cost and mask as one (n, d)
+    array, the choices and nodes of every series or loop batch in the
+    order the batches ran, and the execution tree they index."""
     d = instance.d
     # a vertex's cost and mask, charged together
-    vm = instance.vertex_costs + instance.allowed_mask
+    vm = _masked(np.array(instance.vertex_costs), instance.allowed)
     stack, rows = instance.edge_stack, instance.edge_rows
     nodes = decomp.nodes
+    kids, spec = _execution_tree(nodes)
     tables: list[np.ndarray | None] = [None] * len(nodes)
-    choices: list = [None] * len(nodes)
-    ranks = [0] * len(nodes)
+    steps: list[tuple] = []
     one = np.min_scalar_type(d - 1)
     pair = np.min_scalar_type(d * d - 1)
 
     # a leaf's table holds its one edge, on its target's axis
     leaf_shapes = {"epsilon": (d, d, 1, 1), "break": (d, 1, d, 1), "continue": (d, 1, 1, d)}
+
+    def class_of(i: int) -> tuple:
+        """The batch class of a node whose inner children are done: its
+        kind, its children's table shapes and, at a parallel node, the
+        axis each collapsed edge lands on."""
+        kind = nodes[i].kind
+        if kind == "loop":
+            (c,) = kids[i]
+            return kind, tables[c].shape if kids[c] else leaf_shapes[nodes[c].kind]
+        if not kids[i]:
+            return (kind,)
+        if kind != "series" and kind != "parallel":
+            raise ValueError(f"unknown node kind: {kind!r}")
+        left, right = kids[i]
+        lshape = tables[left].shape if kids[left] else leaf_shapes[nodes[left].kind]
+        rshape = tables[right].shape if kids[right] else leaf_shapes[nodes[right].kind]
+        if kind == "series":
+            return kind, lshape, rshape
+        _, T, B, _ = spec[i]
+        axes = tuple(1 if dst == T else 2 if dst == B else 3 for _, dst in nodes[i].duplicates)
+        return kind, lshape, rshape, axes
 
     def leaves(idx, shape):
         """The stacked tables of leaves ``idx``, of one shape: each
@@ -499,8 +575,8 @@ def _forward(instance: PcspInstance, decomp: Decomposition):
     def child(batch, k, shape):
         """The stacked tables of the batch's k-th children; leaves are
         formed here, when they are needed."""
-        idx = [nodes[i].children[k] for i in batch]
-        leaf = [i for i in idx if not nodes[i].children]
+        idx = [kids[i][k] for i in batch]
+        leaf = [i for i in idx if not kids[i]]
         if not leaf:
             return _stack([tables[i] for i in idx])
         tab = leaves(leaf, shape)
@@ -512,16 +588,21 @@ def _forward(instance: PcspInstance, decomp: Decomposition):
 
     # each kind forms its batch's intermediates in a function, so they
     # are freed on return instead of staying bound while later batches
-    # run; each returns the batch's stacked tables and its choices
+    # run; each returns the batch's stacked tables
     def leaf(key, batch):
-        return leaves(batch, leaf_shapes[key[0]]), None
+        return leaves(batch, leaf_shapes[key[0]])
 
     def series(key, batch):
-        # axes: the merge point, S, then T, B and C; the merge point's
-        # cost and mask join the smaller right operand
+        # axes: the merge point, S, then T, B and C.  The merge point's
+        # cost and mask are added into the right operand in place,
+        # whose S axis is always full: no other node reads its tables.
+        m = [spec[kids[i][0]][1] for i in batch]
         left = child(batch, 0, key[1]).transpose(0, 2, 1, 3, 4)
-        right = child(batch, 1, key[2]) + vm.take([nodes[i].merged for i in batch], axis=0)[:, :, None, None, None]
-        return _sum_min(left[:, :, :, None], right[:, :, None], 2, one)[::-1]
+        right = child(batch, 1, key[2])
+        right += vm.take(m, axis=0)[:, :, None, None, None]
+        picks, dp = _sum_min(left[:, :, :, None], right[:, :, None], 2, one)
+        steps.append((picks, batch))
+        return dp
 
     def parallel(key, batch):
         dp = child(batch, 0, key[1]) + child(batch, 1, key[2])
@@ -538,13 +619,12 @@ def _forward(instance: PcspInstance, decomp: Decomposition):
                     shape[axis + 1] = d
                     dp -= dup[:, k].reshape(shape)
             dp[np.isnan(dp)] = INFINITY
-        return dp, None
+        return dp
 
     def loop(key, batch):
         n = len(batch)
-        S = [nodes[i].specials[0] for i in batch]
-        T = [nodes[i].specials[1] for i in batch]
-        cs, ct, cb, cc = map(list, zip(*(nodes[nodes[i].children[0]].specials for i in batch)))
+        S, T = map(list, zip(*(spec[i][:2] for i in batch)))
+        cs, ct, cb, cc = map(list, zip(*(spec[kids[i][0]] for i in batch)))
         # the edges, each (n, d, d): enter S->cs, back ct->S and cc->S,
         # exit cb->T and the loop's own S->T.  Each child special's
         # vertex cost and mask ride on the edge table it meets, whatever
@@ -577,32 +657,34 @@ def _forward(instance: PcspInstance, decomp: Decomposition):
         x = x.transpose(0, 2, 1)[:, :, :, None] + exit_b[:, :, None, :]
         arg_b = x.argmin(axis=1).astype(one)
         core = np.minimum.reduce(x, axis=1) + core
-        return core[:, :, :, None, None], (arg_s, arg_tc, arg_b)
+        steps.append(((arg_s, arg_tc, arg_b), batch))
+        return core[:, :, :, None, None]
 
     run = {"series": series, "parallel": parallel, "loop": loop}
     # class -> min-heap of its ready nodes, and the inner children each
     # node still waits for.  Leaves are not run on their own: their
     # parents form them (a lone root leaf is its own batch).
     ready: dict[tuple, list[int]] = {}
-    waiting = [0] * len(nodes)
+    waiting = bytearray(len(nodes))
     parent = [-1] * len(nodes)
     # the edge-stack row of each leaf's one edge
     leaf_rows = [0] * len(nodes)
-    for i, node in enumerate(nodes):
-        if not node.children:
-            axis = _TARGET_AXIS.get(node.kind)
+    for i, children in enumerate(kids):
+        if not children:
+            axis = _TARGET_AXIS.get(nodes[i].kind)
             if axis is None:
-                raise ValueError(f"unknown node kind: {node.kind!r}")
-            leaf_rows[i] = rows[node.specials[0], node.specials[axis]]
+                raise ValueError(f"unknown node kind: {nodes[i].kind!r}")
+            leaf_rows[i] = rows[spec[i][0], spec[i][axis]]
             continue
-        for c in node.children:
-            parent[c] = i
-            if nodes[c].children:
+        for c in children:
+            if kids[c]:
+                parent[c] = i
                 waiting[i] += 1
         if not waiting[i]:
-            heappush(ready.setdefault(_class_of(node, nodes, tables, leaf_shapes), []), i)
-    if not nodes[-1].children:
-        ready[_class_of(nodes[-1], nodes, tables, leaf_shapes)] = [len(nodes) - 1]
+            heappush(ready.setdefault(class_of(i), []), i)
+    root = decomp.root
+    if not kids[root]:
+        ready[class_of(root)] = [root]
     caps: dict[tuple, int] = {}
     # heaps compare by their lowest node
     lowest = operator.itemgetter(1)
@@ -618,38 +700,33 @@ def _forward(instance: PcspInstance, decomp: Decomposition):
             heap.sort()
             batch = heap[: caps[key]]
             del heap[: caps[key]]
-        dp, picks = run.get(key[0], leaf)(key, batch)
-        for j, i, tab in zip(itertools.count(), batch, dp):
+        for i, tab in zip(batch, run.get(key[0], leaf)(key, batch)):
             tables[i] = tab
-            choices[i] = picks
-            ranks[i] = j
-            for c in nodes[i].children:
+            for c in kids[i]:
                 tables[c] = None
             p = parent[i]
             if p >= 0:
                 waiting[p] -= 1
                 if not waiting[p]:
-                    heappush(ready.setdefault(_class_of(nodes[p], nodes, tables, leaf_shapes), []), p)
-    return tables, choices, ranks
+                    heappush(ready.setdefault(class_of(p), []), p)
+    return tables[root], vm, steps, (kids, spec)
 
 
 def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
-    """Exact minimum over all assignments, linear in the program size."""
+    """Exact minimum over all assignments, linear in the program size,
+    with an assignment that attains it when it is finite.  Which of
+    several optimal assignments it returns is not specified."""
     a, b = instance.cfg, decomp.cfg
     if a is not b and (a.vertex_count != b.vertex_count or a.edge_map.keys() != b.edge_map.keys()):
         raise InstanceMismatchError("instance and decomposition use different graphs")
     d = instance.d
-    tables, choices, ranks = _forward(instance, decomp)
-    nodes = decomp.nodes
-    root = decomp.root
-    vt = instance.vertex_costs
-    am = instance.allowed_mask
+    total, vm, steps, (kids, spec) = _forward(instance, decomp)
+    specials = decomp.nodes[decomp.root].specials
     # a root special on a length-1 axis meets only its own cost: pick
     # its value alone rather than widening the table
-    total = tables[root]
     quad = [0, 0, 0, 0]
-    for axis, v in enumerate(nodes[root].specials):
-        row = vt[v] + am[v]
+    for axis, v in enumerate(specials):
+        row = vm[v]
         if total.shape[axis] == 1:
             quad[axis] = int(row.argmin())
             row = row[quad[axis]]
@@ -661,39 +738,33 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
     for axis, q in enumerate(np.unravel_index(flat, total.shape)):
         if total.shape[axis] > 1:
             quad[axis] = int(q)
-    quad = tuple(quad)
 
-    assignment: dict[int, int] = {}
-    for vertex, value in zip(nodes[root].specials, quad):
-        assignment[vertex] = value
-    stack: list[tuple[int, tuple[int, int, int, int]]] = [(root, quad)]
-    while stack:
-        i, (s, t, b, c) = stack.pop()
-        node = nodes[i]
-        if node.kind == "series":
-            m = _at(choices[i], ranks[i], s, t, b, c)
-            assignment[node.merged] = m
-            left, right = node.children
-            stack.append((left, (s, m, b, c)))
-            stack.append((right, (m, t, b, c)))
-        elif node.kind == "parallel":
-            left, right = node.children
-            stack.append((left, (s, t, b, c)))
-            stack.append((right, (s, t, b, c)))
-        elif node.kind == "loop":
-            (child,) = node.children
-            arg_s, arg_tc, arg_b = choices[i]
-            j = ranks[i]
-            cb = int(arg_b[j, s, t])
-            ct, cc = divmod(_at(arg_tc, j, s, cb), d)
-            sub = (_at(arg_s, j, ct, cc, s, cb), ct, cb, cc)
-            for vertex, value in zip(nodes[child].specials, sub):
-                assignment[vertex] = value
-            stack.append((child, sub))
-
-    if len(assignment) != instance.cfg.vertex_count:
-        raise AssertionError("reconstruction did not assign every vertex exactly once")
-    return Solution(int(best), assignment)
+    # the batches in reverse, so the specials of every node are chosen
+    # before its own record is read: a series batch chooses its merge
+    # points, a loop batch its children's specials.  A length-1 axis of
+    # a batch's choices is read at 0.
+    value = [-1] * instance.cfg.vertex_count
+    for v, q in zip(specials, quad):
+        value[v] = q
+    for picks, batch in reversed(steps):
+        if isinstance(picks, tuple):
+            arg_s, arg_tc, arg_b = picks
+            _, wide_t, wide_c, _, wide_b = (n > 1 for n in arg_s.shape)
+            for j, i in enumerate(batch):
+                s, t = value[spec[i][0]], value[spec[i][1]]
+                cb = arg_b.item(j, s, t)
+                ct, cc = divmod(arg_tc.item(j, s, cb if wide_b else 0), d)
+                cs = arg_s.item(j, ct if wide_t else 0, cc if wide_c else 0, s, cb if wide_b else 0)
+                for v, x in zip(spec[kids[i][0]], (cs, ct, cb, cc)):
+                    value[v] = x
+        else:
+            wide = [n > 1 for n in picks.shape[1:]]
+            for j, i in enumerate(batch):
+                m = spec[kids[i][0]][1]
+                value[m] = picks.item(j, *[value[v] if w else 0 for v, w in zip(spec[i], wide)])
+    if -1 in value:
+        raise AssertionError("reconstruction did not assign every vertex")
+    return Solution(int(best), dict(enumerate(value)))
 
 
 # ---------------------------------------------------------------------------

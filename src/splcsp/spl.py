@@ -156,8 +156,18 @@ class Cfg:
                 raise ValueError(f"edge ({e.src}, {e.dst}) out of range for {n} vertices")
         spans: dict[int, tuple[Span, ...]] = {}
         for v in obj.get("vertices", []):
-            if isinstance(v, dict) and "spans" in v:
-                spans[v["id"]] = tuple((l, c) for l, c in v["spans"])
+            if not isinstance(v, dict):
+                raise ValueError(f"vertex {v!r}: expected an object")
+            if "spans" not in v:
+                continue
+            vid, pairs = v.get("id"), v["spans"]
+            if type(vid) is not int or not 0 <= vid < n:
+                raise ValueError(f"vertex {vid!r}: id must be an integer below {n}")
+            if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in pairs
+            ):
+                raise ValueError(f"vertex {vid}: spans must be [line, column] integer pairs, got {pairs!r}")
+            spans[vid] = tuple((l, c) for l, c in pairs)
         specials = obj.get("specials")
         return cls(
             n,

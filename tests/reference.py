@@ -223,7 +223,7 @@ def dp_tables(instance: PcspInstance, decomp: Decomposition) -> list[np.ndarray]
                 for n in nodes[lo : i + 1]
             ),
         )
-        tab = solver._forward(instance, sub)[0][-1]
+        tab = solver._forward(instance, sub)[0]
         s, t, b, c = (am[v] for v in node.specials)
         full.append(
             tab

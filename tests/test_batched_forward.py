@@ -1,8 +1,11 @@
 """The forward pass runs ready nodes of one class together, in batches
-capped by `solver._BLOCK`; these tests pin its answers to the
-block-free ones and to the oracle, and bound its memory."""
+capped by `solver._BLOCK`, over a tree whose long `;` chains are
+regrouped as balanced trees; these tests pin its answers to the
+block-free ones and to the oracle, count its steps on a chain, and
+bound its memory."""
 
 import gc
+import math
 import tracemalloc
 
 import pytest
@@ -16,10 +19,29 @@ def decompose_source(src):
     return decompose(lang.parse_program(src))
 
 
+# a program of long `;` chains: one at the top, one in a loop body
+# that also breaks and continues, one in an if branch
+CHAIN_HEAVY = (
+    "; ".join(f"a{k}" for k in range(9))
+    + "; while p do "
+    + "; ".join(f"b{k}" for k in range(7))
+    + "; if q then break else c fi; "
+    + "; ".join(f"d{k}" for k in range(5))
+    + "; continue od; if r then "
+    + "; ".join(f"e{k}" for k in range(8))
+    + " else f fi; g"
+)
+
+
 def jump_heavy_suite(domain, count=12):
     """(decomposition, instance) pairs with many breaks and continues,
-    INFINITY entries and restricted allowed sets."""
-    out = []
+    INFINITY entries and restricted allowed sets, and one program of
+    long chains."""
+    chains = decompose_source(CHAIN_HEAVY)
+    inst = gen.random_instance(
+        chains.cfg, domain, seed=domain, high=6, inf_prob=0.15, restrict_prob=0.3
+    )
+    out = [(chains, inst)]
     for seed in range(count):
         config = gen.GenConfig(
             seed=1000 * domain + seed,
@@ -83,28 +105,96 @@ def test_batches_of_one_class_match_the_oracle(src):
                 assert evaluate(inst, got.assignment) == got.min_cost
 
 
+def count_sum_min_calls(monkeypatch):
+    """A list that gets one entry per `solver._sum_min` call, one per
+    series or loop batch that fits the block."""
+    calls = []
+    real = solver._sum_min
+
+    def recording(a, b, axis, dtype):
+        calls.append(len(a))
+        return real(a, b, axis, dtype)
+
+    monkeypatch.setattr(solver, "_sum_min", recording)
+    return calls
+
+
 @pytest.mark.parametrize("src", SHARED_CLASS_PROGRAMS[2:4] + SHARED_CLASS_PROGRAMS[5:])
 def test_sibling_nodes_run_in_one_batch(monkeypatch, src):
     # the loops of these programs become ready together, in one class,
     # so some batch sums over several nodes at once
-    sizes = []
-    real = solver._sum_min
-
-    def recording(a, b, axis, dtype):
-        sizes.append(len(a))
-        return real(a, b, axis, dtype)
-
-    monkeypatch.setattr(solver, "_sum_min", recording)
+    sizes = count_sum_min_calls(monkeypatch)
     d = decompose_source(src)
     inst = gen.random_instance(d.cfg, 2, seed=1, inf_prob=0.1, restrict_prob=0.5)
     assert solve(inst, d).min_cost == oracle_solve(inst).min_cost
     assert max(sizes) > 1
 
 
+def test_a_long_chain_runs_in_logarithmically_many_steps(monkeypatch):
+    # one link per step would be 1023 steps; a balanced tree over the
+    # 1024 statements has 10 levels
+    calls = count_sum_min_calls(monkeypatch)
+    d = decompose_source("; ".join(f"x{k} := {k}" for k in range(1024)))
+    inst = gen.random_instance(d.cfg, 2, seed=3, inf_prob=0.0, restrict_prob=0.2)
+    got = solve(inst, d)
+    assert len(calls) <= 40, len(calls)
+    assert evaluate(inst, got.assignment) == got.min_cost
+
+
+# each has a chain of at least `solver._CHAIN` operands inside a loop
+TIE_CHAINS = [
+    "while p do a; b; c; d; if q then break else e fi; f; g; h od",
+    "while p do a; b; c; if q then continue else d fi; e; f; g; break od; h; i",
+    "a; while p do b; c; d; e; f; if q then break else continue fi; g; h od; i",
+    "while p do while q do a; b; c; d; e; f; g; break od; h; i; continue od",
+]
+
+
+@pytest.mark.parametrize("src", TIE_CHAINS)
+def test_regrouped_chains_with_many_ties_match_the_oracle(src):
+    # costs of 0 and 1 make many assignments tie at the minimum; the
+    # regrouped chains may pick another of them than the oracle does
+    d = decompose_source(src)
+    for domain in (2, 3):
+        for seed in range(8):
+            inst = gen.random_instance(
+                d.cfg, domain, seed=seed, high=1, inf_prob=0.05, restrict_prob=0.2
+            )
+            if math.prod(map(len, inst.allowed)) > 1 << 20:
+                continue
+            got = solve(inst, d)
+            want = oracle_solve(inst)
+            assert got.min_cost == want.min_cost
+            if got.assignment is not None:
+                assert evaluate(inst, got.assignment) == got.min_cost
+
+
+def test_right_nested_sequences_match_the_oracle():
+    # the parser nests `;` to the left; built by hand, a right operand
+    # may itself be a sequence, which is a chain of its own
+    atoms = [lang.Epsilon(f"x{k}") for k in range(12)]
+    right = atoms[11]
+    for atom in reversed(atoms[8:11]):
+        right = lang.Seq(atom, right)
+    chain = lang.Seq(atoms[0], lang.Seq(atoms[1], atoms[2]))
+    for atom in atoms[3:8]:
+        chain = lang.Seq(chain, atom)
+    chain = lang.Seq(lang.Seq(chain, lang.Break()), right)
+    d = decompose(lang.While("p", chain))
+    for seed in range(10):
+        inst = gen.random_instance(d.cfg, 2, seed=seed, high=3, inf_prob=0.1, restrict_prob=0.3)
+        got = solve(inst, d)
+        assert got.min_cost == oracle_solve(inst).min_cost
+        if got.assignment is not None:
+            assert evaluate(inst, got.assignment) == got.min_cost
+
+
 def test_solve_memory_on_a_generated_program_stays_bounded():
     # a 300-statement program at d=8.  A node-at-a-time pass in
     # post-order peaks at 373 KiB here, and the batched pass at about
-    # 389 KiB; the bound allows 20% over the former.  A schedule that
+    # 398 KiB (416 KiB when it ran `;` chains one link per step and
+    # cached the allowed-set mask); the bound allows 20% over the
+    # former.  A schedule that
     # runs height levels and forms every leaf's table before any parent
     # peaks at about 520 KiB.
     tree = gen.gen_random_program(gen.GenConfig(seed=5, size=300))

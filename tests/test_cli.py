@@ -426,6 +426,9 @@ def test_coloring_refuses_edge_endpoints_that_are_not_integers(capsys, tmp_path,
         ({"vertex_count": 3, "edges": [[0]]}, "edge [0]"),
         ({"vertex_count": 3, "edges": [[0, 1, 2]]}, "edge [0, 1, 2]"),
         ({"vertex_count": 3, "edges": [{"src": 0}]}, "edge {'src': 0}"),
+        ({"vertex_count": 3, "edges": [], "vertices": [{"id": 0, "spans": [[1]]}]}, "vertex 0"),
+        ({"vertex_count": 3, "edges": [], "vertices": [{"id": 7, "spans": [[1, 1]]}]}, "vertex 7"),
+        ({"vertex_count": 3, "edges": [], "vertices": [5]}, "vertex 5"),
     ],
 )
 def test_coloring_refuses_a_bad_vertex_count_or_edge_shape(capsys, tmp_path, graph, named):
