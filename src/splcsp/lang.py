@@ -8,16 +8,19 @@ Programs are sequences of statements built from opaque atoms, ``break``,
            | while <guard> do <seq> od
     seq  ::= stmt (';' stmt)*
 
-Atom runs and guards are opaque: any run of tokens that are not keywords
-or ``;``.  ``#`` starts a line comment.  There is no one-armed ``if``;
+A token is ``;`` or a maximal run of characters that are neither
+whitespace (``str.isspace``) nor ``;``; ``#`` cuts the rest of its line,
+even in the middle of a token.  Atom runs and guards are opaque: any run
+of tokens that are not keywords or ``;``.  There is no one-armed ``if``;
 write an explicit ``else skip`` (``skip`` is just another atom).
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field, fields
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 KEYWORDS = frozenset(
     ["if", "then", "else", "fi", "while", "do", "od", "break", "continue"]
@@ -239,162 +242,11 @@ def check_closed(tree: Stmt) -> ClosednessReport:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
-
-
-class _Token(NamedTuple):
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        hash_at = line.find("#")
-        if hash_at >= 0:
-            line = line[:hash_at]
-        col = 0
-        n = len(line)
-        while col < n:
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-            elif ch == ";":
-                tokens.append(_Token(";", lineno, col + 1))
-                col += 1
-            else:
-                start = col
-                while col < n and not line[col].isspace() and line[col] != ";":
-                    col += 1
-                tokens.append(_Token(line[start:col], lineno, start + 1))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
 # parser
 
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1]
-            raise ProgramSyntaxError("unexpected end of input", last.line, last.col)
-        self.pos += 1
-        return tok
-
-    def _expect(self, text: str) -> _Token:
-        tok = self._peek()
-        if tok is None or tok.text != text:
-            if tok is None:
-                last = self.tokens[-1]
-                raise ProgramSyntaxError(
-                    f"expected '{text}', got end of input", last.line, last.col
-                )
-            raise ProgramSyntaxError(
-                f"expected '{text}', got '{tok.text}'", tok.line, tok.col
-            )
-        return self._next()
-
-    def _guard_until(self, stop: str) -> str:
-        # guard = run of plain tokens terminated by `stop`
-        words = []
-        while True:
-            tok = self._peek()
-            if tok is None:
-                last = self.tokens[-1]
-                raise ProgramSyntaxError(
-                    f"expected '{stop}' after guard, got end of input",
-                    last.line,
-                    last.col,
-                )
-            if tok.text == stop:
-                self._next()
-                break
-            if tok.text in KEYWORDS or tok.text == ";":
-                raise ProgramSyntaxError(
-                    f"expected '{stop}' after guard, got '{tok.text}'",
-                    tok.line,
-                    tok.col,
-                )
-            words.append(self._next().text)
-        if not words:
-            tok = self.tokens[self.pos - 1]
-            raise ProgramSyntaxError("empty guard", tok.line, tok.col)
-        return " ".join(words)
-
-    def parse_seq(self) -> Stmt:
-        """Parse one sequence.  Open ``if`` and ``while`` statements wait
-        on an explicit stack, so nesting depth is not bounded by Python's
-        recursion limit."""
-        # the innermost open sequence: the keyword that closes it (None
-        # for the outermost), its statement's span and guard, a finished
-        # then-branch, and the sequence so far
-        closing = span = guard = then = seq = None
-        enclosing: list[tuple] = []
-        while True:
-            tok = self._peek()
-            if tok is None:
-                last = self.tokens[-1]
-                raise ProgramSyntaxError(
-                    "expected a statement, got end of input", last.line, last.col
-                )
-            if tok.text == "if" or tok.text == "while":
-                self._next()
-                enclosing.append((closing, span, guard, then, seq))
-                if tok.text == "if":
-                    closing, guard = "else", self._guard_until("then")
-                else:
-                    closing, guard = "od", self._guard_until("do")
-                span, then, seq = (tok.line, tok.col), None, None
-                continue
-            stmt = self._simple_stmt(tok)
-            # append the statement, then close every construct whose
-            # body ends with it
-            while True:
-                seq = stmt if seq is None else Seq(seq, stmt, span=seq.span)
-                tok = self._peek()
-                if tok is not None and tok.text == ";":
-                    self._next()
-                    break
-                if closing is None:
-                    return seq
-                self._expect(closing)
-                if closing == "else":
-                    closing, then, seq = "fi", seq, None
-                    break
-                if closing == "fi":
-                    stmt = If(guard, then, seq, span=span)
-                else:
-                    stmt = While(guard, seq, span=span)
-                closing, span, guard, then, seq = enclosing.pop()
-
-    def _simple_stmt(self, tok: _Token) -> Stmt:
-        """An atom run, ``break`` or ``continue`` starting at ``tok``."""
-        span = (tok.line, tok.col)
-        if tok.text == "break":
-            self._next()
-            return Break(span=span)
-        if tok.text == "continue":
-            self._next()
-            return Continue(span=span)
-        if tok.text in KEYWORDS or tok.text == ";":
-            raise ProgramSyntaxError(f"unexpected '{tok.text}'", tok.line, tok.col)
-        words = []
-        while True:
-            t = self._peek()
-            if t is None or t.text in KEYWORDS or t.text == ";":
-                break
-            words.append(self._next().text)
-        return Epsilon(" ".join(words), span=span)
+_TOKEN = re.compile(r"[^\s;]+|;")
+# what ends an atom run or a guard: "" is the end-of-input sentinel
+_STOP = KEYWORDS | {";", ""}
 
 
 def parse_program(source: str) -> Stmt:
@@ -402,18 +254,87 @@ def parse_program(source: str) -> Stmt:
 
     Raises `EmptyInputError` on input with no tokens and
     `ProgramSyntaxError` (with 1-based line/column) on malformed input.
+    Open ``if`` and ``while`` statements wait on an explicit stack, so
+    nesting depth is not bounded by Python's recursion limit.
     """
-    tokens = _tokenize(source)
-    if not tokens:
+    texts: list[str] = []
+    spans: list[Span] = []
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        for m in _TOKEN.finditer(line.partition("#")[0]):
+            texts.append(m.group())
+            spans.append((lineno, m.start() + 1))
+    if not texts:
         raise EmptyInputError()
-    parser = _Parser(tokens)
-    tree = parser.parse_seq()
-    trailing = parser._peek()
-    if trailing is not None:
-        raise ProgramSyntaxError(
-            f"unexpected '{trailing.text}' after program", trailing.line, trailing.col
-        )
-    return tree
+    # the sentinel stands at the last token, where an end-of-input error points
+    texts.append("")
+    spans.append(spans[-1])
+
+    def error(message: str, at: int) -> ProgramSyntaxError:
+        return ProgramSyntaxError(message, *spans[at])
+
+    def got(at: int) -> str:
+        return f"'{texts[at]}'" if texts[at] else "end of input"
+
+    pos = 0
+    # the innermost open sequence: the keyword that closes it (None for
+    # the outermost), its statement's span and guard, a finished
+    # then-branch, and the sequence so far
+    closing = span = guard = then = seq = None
+    enclosing: list[tuple] = []
+    while True:
+        text = texts[pos]
+        if text == "if" or text == "while":
+            stop = "then" if text == "if" else "do"
+            start = pos = pos + 1
+            while texts[pos] not in _STOP:
+                pos += 1
+            if texts[pos] != stop:
+                raise error(f"expected '{stop}' after guard, got {got(pos)}", pos)
+            if pos == start:
+                raise error("empty guard", pos)
+            enclosing.append((closing, span, guard, then, seq))
+            closing = "else" if text == "if" else "od"
+            span, guard, then, seq = spans[start - 1], " ".join(texts[start:pos]), None, None
+            pos += 1
+            continue
+        if text == "break":
+            stmt: Stmt = Break(span=spans[pos])
+            pos += 1
+        elif text == "continue":
+            stmt = Continue(span=spans[pos])
+            pos += 1
+        elif not text:
+            raise error("expected a statement, got end of input", pos)
+        elif text in _STOP:
+            raise error(f"unexpected '{text}'", pos)
+        else:
+            start = pos
+            while texts[pos] not in _STOP:
+                pos += 1
+            stmt = Epsilon(" ".join(texts[start:pos]), span=spans[start])
+        # append the statement, then close every construct whose body
+        # ends with it
+        while True:
+            seq = stmt if seq is None else Seq(seq, stmt, span=seq.span)
+            text = texts[pos]
+            if text == ";":
+                pos += 1
+                break
+            if closing is None:
+                if text:
+                    raise error(f"unexpected '{text}' after program", pos)
+                return seq
+            if text != closing:
+                raise error(f"expected '{closing}', got {got(pos)}", pos)
+            pos += 1
+            if closing == "else":
+                closing, then, seq = "fi", seq, None
+                break
+            if closing == "fi":
+                stmt = If(guard, then, seq, span=span)
+            else:
+                stmt = While(guard, seq, span=span)
+            closing, span, guard, then, seq = enclosing.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -212,10 +212,7 @@ class DecompNode:
 
     ``specials`` are final CFG ids of this subgraph's S, T, B, C.
     ``merged`` is the merge point of a series node; ``duplicates`` the
-    collapsed edges of a parallel node.  ``base`` is the first raw id
-    of an atom or loop: raw ids number each atom's and loop's four
-    specials in post-order, the numbering ``tests/reference.py``
-    replays the construction in.
+    collapsed edges of a parallel node.
     """
 
     kind: str  # epsilon | break | continue | series | parallel | loop
@@ -226,20 +223,14 @@ class DecompNode:
     guard: str | None = None
     merged: int | None = None
     duplicates: tuple[tuple[int, int], ...] = ()
-    base: int = -1
 
 
 @dataclass
 class Decomposition:
-    """Operation tree (post-order, root last) plus the finished CFG.
-
-    ``final_of_raw`` maps each raw id (see `DecompNode.base`) to its
-    CFG id.
-    """
+    """Operation tree (post-order, root last) plus the finished CFG."""
 
     nodes: tuple[DecompNode, ...]
     cfg: Cfg
-    final_of_raw: tuple[int, ...]
 
     @property
     def root(self) -> int:
@@ -293,7 +284,6 @@ def decompose(tree: Stmt) -> Decomposition:
     # one of its vertices, in post-order and S, T, B, C order.
     ids = [-1] * 4  # CFG id of each class, -1 until created
     vertex_count = 0
-    final_of_raw: list[int] = []
     # (src, dst) -> label and text; the first edge wins, so a collapsed
     # edge keeps its left operand's
     edge_info: dict[tuple[int, int], tuple[str, str | None]] = {}
@@ -319,14 +309,14 @@ def decompose(tree: Stmt) -> Decomposition:
                 stack.append((node.body, (new, new + 1, new + 2, new + 3), False))
             continue
 
-        if not isinstance(node, (lang.Seq, lang.If)):
+        creates = not isinstance(node, (lang.Seq, lang.If))
+        if creates:
             # an atom or loop creates one vertex of each of its classes
             for k in classes:
                 if ids[k] < 0:
                     ids[k] = vertex_count
                     vertex_count += 1
         S, T, B, C = specials = (ids[s], ids[t], ids[b], ids[c])
-        base = len(final_of_raw)
         if isinstance(node, lang.Seq):
             (right, rmask), (left, lmask) = results.pop(), results.pop()
             merged = nodes[left].specials[1]
@@ -344,15 +334,15 @@ def decompose(tree: Stmt) -> Decomposition:
             mask = lmask | rmask
         elif isinstance(node, lang.Epsilon):
             edge_info.setdefault((S, T), (STMT, node.text))
-            op = DecompNode("epsilon", (), specials, node.span, text=node.text, base=base)
+            op = DecompNode("epsilon", (), specials, node.span, text=node.text)
             mask = 1
         elif isinstance(node, lang.Break):
             edge_info.setdefault((S, B), (BREAK, None))
-            op = DecompNode("break", (), specials, node.span, base=base)
+            op = DecompNode("break", (), specials, node.span)
             mask = 2
         elif isinstance(node, lang.Continue):
             edge_info.setdefault((S, C), (CONTINUE, None))
-            op = DecompNode("continue", (), specials, node.span, base=base)
+            op = DecompNode("continue", (), specials, node.span)
             mask = 4
         elif isinstance(node, lang.While):
             child = results.pop()[0]
@@ -362,12 +352,11 @@ def decompose(tree: Stmt) -> Decomposition:
             edge_info.setdefault((t1, S), (LOOP_BACK, None))
             edge_info.setdefault((c1, S), (LOOP_BACK, None))
             edge_info.setdefault((b1, T), (LOOP_EXIT, None))
-            op = DecompNode("loop", (child,), specials, node.span, guard=node.guard, base=base)
+            op = DecompNode("loop", (child,), specials, node.span, guard=node.guard)
             mask = 1
         else:
             raise TypeError(f"not a parse tree node: {node!r}")
-        if op.base >= 0:
-            final_of_raw += specials
+        if creates:
             for v in specials:
                 spans.setdefault(v, []).append(node.span)
         nodes.append(op)
@@ -394,7 +383,7 @@ def decompose(tree: Stmt) -> Decomposition:
         specials=root,
         spans={v: tuple(ss) for v, ss in spans.items()},
     )
-    return Decomposition(tuple(nodes), cfg, tuple(final_of_raw))
+    return Decomposition(tuple(nodes), cfg)
 
 
 def cfg_json_dumps(obj: dict) -> str:

@@ -3,8 +3,8 @@
 The series/parallel/loop graph algebra builds SPL graphs one operation
 at a time, as the paper defines them (see `splcsp.spl`); `node_graph`
 replays a decomposition with it, as the reference for `decompose`,
-which builds the same graphs with a union-find.  `dp_tables` gives
-every node's full DP table, for comparison with exhaustive search.
+which builds the CFG in one post-order pass.  `dp_tables` gives every
+node's full DP table, for comparison with exhaustive search.
 """
 
 from __future__ import annotations
@@ -158,10 +158,29 @@ def loop(g: SplGraph, first_id: int | None = None, guard: str | None = None) -> 
     return SplGraph(s, t, b, c, g.vertices | fresh, edges)
 
 
+def raw_ids(decomp: Decomposition) -> tuple[list[int], list[int]]:
+    """Each node's base and the CFG id of each raw id.
+
+    Raw ids number each atom's and loop's four specials in post-order,
+    the order `decompose` creates their vertices in; a node's base is
+    its first raw id, and -1 for series and parallel nodes.
+    """
+    bases: list[int] = []
+    final_of_raw: list[int] = []
+    for node in decomp.nodes:
+        if node.kind in ("series", "parallel"):
+            bases.append(-1)
+        else:
+            bases.append(len(final_of_raw))
+            final_of_raw += node.specials
+    return bases, final_of_raw
+
+
 def node_graph(decomp: Decomposition, index: int) -> SplGraph:
     """Rebuild the subgraph of one node by replaying the operations, in
     CFG vertex ids; edge labels stay structural (no branch relabeling)."""
     nodes = decomp.nodes
+    bases, fid = raw_ids(decomp)
     memo: dict[int, SplGraph] = {}
     stack = [index]
     while stack:
@@ -176,18 +195,17 @@ def node_graph(decomp: Decomposition, index: int) -> SplGraph:
             continue
         stack.pop()
         if node.kind in ("epsilon", "break", "continue"):
-            g = atomic(node.kind, node.text, first_id=node.base)
+            g = atomic(node.kind, node.text, first_id=bases[i])
         elif node.kind == "series":
             g = series(memo[node.children[0]], memo[node.children[1]])
         elif node.kind == "parallel":
             g, _ = parallel(memo[node.children[0]], memo[node.children[1]])
         elif node.kind == "loop":
-            g = loop(memo[node.children[0]], first_id=node.base, guard=node.guard)
+            g = loop(memo[node.children[0]], first_id=bases[i], guard=node.guard)
         else:
             raise ValueError(f"unknown node kind: {node.kind!r}")
         memo[i] = g
     g = memo[index]
-    fid = decomp.final_of_raw
     edges = {}
     for e in g.edges.values():
         key = (fid[e.src], fid[e.dst])

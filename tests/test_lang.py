@@ -79,6 +79,7 @@ def test_keywords_only_match_whole_tokens():
 def test_comments_and_blank_lines():
     src = "# leading comment\n\na := 1; # trailing\n# another\nb := 2\n"
     assert parse_program(src) == Seq(Epsilon("a := 1"), Epsilon("b := 2"))
+    assert parse_program("a#b; c") == Epsilon("a")
 
 
 def test_semicolon_needs_no_whitespace():
@@ -111,29 +112,37 @@ def test_empty_input(src):
 
 
 @pytest.mark.parametrize(
-    "src, line, col",
+    "src, line, col, message",
     [
-        ("if x then a fi", 1, 13),  # missing else
-        ("if x then a else b", 1, 18),  # missing fi: points at the last token
-        ("while x do a", 1, 12),  # missing od
-        ("a;; b", 1, 3),  # stray separator
-        ("fi", 1, 1),
-        ("a; else", 1, 4),
-        ("if then a else b fi", 1, 4),  # empty guard
-        ("while do a od", 1, 7),
-        ("if x; y then a else b fi", 1, 5),  # separator inside guard
-        ("a extra; fi", 1, 10),
+        ("if x then a fi", 1, 13, "expected 'else', got 'fi'"),  # missing else
+        # missing fi: points at the last token
+        ("if x then a else b", 1, 18, "expected 'fi', got end of input"),
+        ("while x do a", 1, 12, "expected 'od', got end of input"),  # missing od
+        ("a;; b", 1, 3, "unexpected ';'"),  # stray separator
+        ("fi", 1, 1, "unexpected 'fi'"),
+        ("a; else", 1, 4, "unexpected 'else'"),
+        ("if then a else b fi", 1, 4, "empty guard"),
+        ("while do a od", 1, 7, "empty guard"),
+        # separator inside guard
+        ("if x; y then a else b fi", 1, 5, "expected 'then' after guard, got ';'"),
+        ("a extra; fi", 1, 10, "unexpected 'fi'"),
+        ("while x", 1, 7, "expected 'do' after guard, got end of input"),
+        ("a;", 1, 2, "expected a statement, got end of input"),
+        ("if x then a else b fi fi", 1, 23, "unexpected 'fi' after program"),
+        # a comment cuts the token it starts in
+        ("a#b; c\nfi", 2, 1, "unexpected 'fi' after program"),
+        ("a; b#c\n;", 2, 1, "expected a statement, got end of input"),
+        ("if x then\r\n  a#b\r\nelse c fi fi", 3, 11, "unexpected 'fi' after program"),
+        ("while x do a\r\n", 1, 12, "expected 'od', got end of input"),
+        # NBSP is whitespace, as str.isspace has it
+        ("a\xa0b;\xa0fi", 1, 6, "unexpected 'fi'"),
     ],
 )
-def test_syntax_errors_carry_positions(src, line, col):
+def test_syntax_errors_carry_positions(src, line, col, message):
     with pytest.raises(ProgramSyntaxError) as err:
         parse_program(src)
     assert (err.value.line, err.value.col) == (line, col)
-
-
-def test_trailing_garbage_rejected():
-    with pytest.raises(ProgramSyntaxError):
-        parse_program("if x then a else b fi fi")
+    assert str(err.value) == f"{line}:{col}: {message}"
 
 
 def test_counts():
@@ -302,3 +311,40 @@ def test_counts_consistent(tree):
     assert count_nodes(tree) == len(nodes)
     seqs = sum(1 for n in nodes if isinstance(n, Seq))
     assert count_statements(tree) == len(nodes) - seqs
+
+
+# token soups: keywords, separators, atoms, comments and Unicode
+# whitespace, including the separators str.splitlines breaks lines at
+SOUP = st.lists(
+    st.sampled_from(
+        sorted(lang.KEYWORDS)
+        + [";", "a", "x1", ":=", "#", "# c"]
+        + [" ", "\t", "\n", "\r\n", "\xa0", "\u3000", "\x1c", "\x1f", "\x85", "\u2028"]
+    ),
+    max_size=30,
+).map("".join)
+
+
+def _token_starts(source):
+    starts = set()
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        code = line.split("#", 1)[0]
+        for i, ch in enumerate(code):
+            if not ch.isspace() and (
+                ch == ";" or i == 0 or code[i - 1].isspace() or code[i - 1] == ";"
+            ):
+                starts.add((lineno, i + 1))
+    return starts
+
+
+@settings(max_examples=400, deadline=None)
+@given(SOUP)
+def test_parse_returns_a_tree_or_points_at_a_token(source):
+    try:
+        tree = parse_program(source)
+    except EmptyInputError:
+        assert not _token_starts(source)
+    except ProgramSyntaxError as err:
+        assert (err.line, err.col) in _token_starts(source)
+    else:
+        assert parse_program(pretty_print(tree)) == tree

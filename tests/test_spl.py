@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import OverlappingGraphsError, atomic, loop, node_graph, parallel, series
+from reference import OverlappingGraphsError, atomic, loop, node_graph, parallel, raw_ids, series
 from splcsp import gen, lang, spl
 from splcsp.spl import (
     Cfg,
@@ -219,7 +219,7 @@ def test_spans_recorded_for_every_vertex_of_interest():
     # every vertex allocated by an atom or loop carries source positions
     covered = set()
     for node in d.nodes:
-        if node.base >= 0:
+        if node.kind not in ("series", "parallel"):
             covered.update(node.specials)
     assert set(d.cfg.spans) == covered
     assert d.cfg.spans[d.cfg.entry][0] == (1, 1)
@@ -329,8 +329,9 @@ PINNED_PROGRAMS = {
     "chain-5000": lambda: "; ".join(f"x{i} := {i}" for i in range(5000)),
 }
 
-# sha256 of each program's CFG, nodes and `final_of_raw` as flat JSON
-# (the nested tree JSON grows with the square of the nesting depth)
+# sha256 of each program's CFG, nodes (each with its base) and the CFG
+# id of each raw id (see `raw_ids`) as flat JSON (the nested tree JSON
+# grows with the square of the nesting depth)
 PINNED_DIGESTS = {
     "chain-5000": "b8c12b1bbb57c9f0d7abc5c86d63a230ee39128245bcb0806d5d411d5da03463",
     "gen-2000": "bc94191f11326eecda3ad7def13ed4b1eb637256d919a47f80f495647ba06f06",
@@ -350,7 +351,12 @@ def test_decompose_numbering_is_pinned(name):
         d = decompose(tree)
     opened = [w for w in caught if issubclass(w.category, OpenProgramWarning)]
     assert len(opened) == (name == "open")
-    flat = [d.cfg.to_json(), [dataclasses.astuple(n) for n in d.nodes], d.final_of_raw]
+    bases, final_of_raw = raw_ids(d)
+    flat = [
+        d.cfg.to_json(),
+        [[*dataclasses.astuple(n), base] for n, base in zip(d.nodes, bases)],
+        final_of_raw,
+    ]
     digest = hashlib.sha256(json.dumps(flat, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_DIGESTS[name]
 
