@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -30,28 +31,37 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# a parse-tree node's DOT label, from its JSON fields; break and
+# continue are labelled with their kind
+_DOT_LABELS = {"epsilon": "{text}", "seq": ";", "if": "if {guard}", "while": "while {guard}"}
+
+
 def _tree_dot(tree: lang.Stmt) -> str:
-    order = list(lang.walk(tree))
-    ids = {id(node): i for i, node in enumerate(order)}
+    nodes = lang.tree_to_json(tree)["nodes"]
     lines = ["digraph parse {"]
-    for node in order:
-        i = ids[id(node)]
-        if isinstance(node, lang.Epsilon):
-            label = node.text
-        elif isinstance(node, lang.If):
-            label = f"if {node.guard}"
-        elif isinstance(node, lang.While):
-            label = f"while {node.guard}"
-        elif isinstance(node, lang.Seq):
-            label = ";"
-        else:
-            label = "break" if isinstance(node, lang.Break) else "continue"
+    for i, node in enumerate(nodes):
+        label = _DOT_LABELS.get(node["kind"], node["kind"]).format_map(node)
         lines.append(f'  {i} [label="{spl._dot_escape(label)}"];')
-    for node in order:
-        for child in lang.children(node):
-            lines.append(f"  {ids[id(node)]} -> {ids[id(child)]};")
+    for i, node in enumerate(nodes):
+        lines += (f"  {i} -> {child};" for child in node.get("children", ()))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _warn_if_open(tree: lang.Stmt) -> None:
+    report = lang.check_closed(tree)
+    if not report.is_closed:
+        line, col = report.violations[0]
+        print(
+            f"warning: program is not closed "
+            f"({len(report.violations)} break/continue outside any loop, "
+            f"first at {line}:{col})",
+            file=sys.stderr,
+        )
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -61,7 +71,13 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _load_program(path: str) -> spl.Decomposition:
-    return spl.decompose(lang.parse_program(_read_text(path)))
+    # one stderr line, worded as `parse` words it, in place of Python's
+    # display of the warning `decompose` raises, which names this file
+    tree = lang.parse_program(_read_text(path))
+    _warn_if_open(tree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", spl.OpenProgramWarning)
+        return spl.decompose(tree)
 
 
 def _emit(args, sol: solver.Solution, decode=None, **fields) -> int:
@@ -71,7 +87,7 @@ def _emit(args, sol: solver.Solution, decode=None, **fields) -> int:
     payload = {**sol.to_json(), **fields}
     if decode is not None and sol.assignment is not None:
         payload.update(decode(sol.assignment))
-    text = spl.cfg_json_dumps(payload)
+    text = _json_text(payload)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -98,17 +114,9 @@ def _solve(args, decomp, instance, decode=None, **fields) -> int:
 
 def _cmd_parse(args) -> int:
     tree = lang.parse_program(_read_text(args.file))
-    report = lang.check_closed(tree)
-    if not report.is_closed:
-        line, col = report.violations[0]
-        print(
-            f"warning: program is not closed "
-            f"({len(report.violations)} break/continue outside any loop, "
-            f"first at {line}:{col})",
-            file=sys.stderr,
-        )
+    _warn_if_open(tree)
     if args.json:
-        sys.stdout.write(spl.cfg_json_dumps(lang.tree_to_json(tree)))
+        sys.stdout.write(_json_text(lang.tree_to_json(tree)))
     elif args.dot:
         sys.stdout.write(_tree_dot(tree))
     else:
@@ -121,9 +129,9 @@ def _cmd_cfg(args) -> int:
     if args.dot:
         sys.stdout.write(decomp.cfg.to_dot())
     elif args.tree:
-        sys.stdout.write(spl.cfg_json_dumps(decomp.to_json()))
+        sys.stdout.write(_json_text(decomp.to_json()))
     else:
-        sys.stdout.write(spl.cfg_json_dumps(decomp.cfg.to_json()))
+        sys.stdout.write(_json_text(decomp.cfg.to_json()))
     return 0
 
 

@@ -378,30 +378,27 @@ def pretty_print(tree: Stmt, indent: str = "  ") -> str:
     return "\n".join(lines) + "\n"
 
 
+_KINDS = {cls: cls.__name__.lower() for cls in (Epsilon, Break, Continue, Seq, If, While)}
+
+
 def tree_to_json(tree: Stmt) -> dict:
-    """Plain-dict form of a parse tree (for the CLI's --json output)."""
-    done: dict[int, dict] = {}
-    for node in reversed(list(walk(tree))):  # children before parents
-        obj: dict = {"kind": "", "span": list(node.span)}
-        if isinstance(node, Epsilon):
-            obj["kind"] = "epsilon"
-            obj["text"] = node.text
-        elif isinstance(node, Break):
-            obj["kind"] = "break"
-        elif isinstance(node, Continue):
-            obj["kind"] = "continue"
-        elif isinstance(node, Seq):
-            obj["kind"] = "seq"
-        elif isinstance(node, If):
-            obj["kind"] = "if"
-            obj["guard"] = node.guard
-        elif isinstance(node, While):
-            obj["kind"] = "while"
-            obj["guard"] = node.guard
-        else:
+    """Plain-dict form of a parse tree (for the CLI's --json output):
+    the nodes in `walk` preorder, so ``root`` is 0, each listing its
+    children by index."""
+    order = list(walk(tree))
+    index = {id(node): i for i, node in enumerate(order)}
+    nodes = []
+    for node in order:
+        kind = _KINDS.get(node.__class__)
+        if kind is None:
             raise TypeError(f"not a parse tree node: {node!r}")
+        obj: dict = {"kind": kind, "span": list(node.span)}
+        if kind == "epsilon":
+            obj["text"] = node.text
+        elif kind in ("if", "while"):
+            obj["guard"] = node.guard
         kids = children(node)
         if kids:
-            obj["children"] = [done[id(c)] for c in kids]
-        done[id(node)] = obj
-    return done[id(tree)]
+            obj["children"] = [index[id(c)] for c in kids]
+        nodes.append(obj)
+    return {"nodes": nodes, "root": 0}

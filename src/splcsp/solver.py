@@ -904,10 +904,20 @@ def _model_costs(model: dict, cfg: Cfg, d: int) -> Mapping | np.ndarray:
     from ``default_rng((seed, order))``."""
     kind = model.get("model")
     if kind == "random":
-        low = int(model.get("low", 0))
-        high = int(model.get("high", 10))
-        inf_prob = float(model.get("inf_prob", 0.0))
-        seed = int(model.get("seed", 0))
+        low, high, seed = (
+            _json_ints([model.get(name, default)], f"random model {name}")[0]
+            for name, default in (("low", 0), ("high", 10), ("seed", 0))
+        )
+        if not 0 <= low <= high <= _COST_LIMIT:
+            raise ValueError(
+                f"random model low and high need 0 <= low <= high <= 2**52, got {low} and {high}"
+            )
+        if seed < 0:
+            raise ValueError(f"random model seed must be non-negative, got {seed}")
+        inf_prob = model.get("inf_prob", 0.0)
+        # JSON numbers only: True would pass as 1, and NaN fails both tests
+        if type(inf_prob) not in (int, float) or not 0 <= inf_prob <= 1:
+            raise ValueError(f"random model inf_prob must be a number in [0, 1], got {inf_prob!r}")
         out = np.empty((len(cfg.edges), d, d))
         for order, tab in enumerate(out):
             rng = np.random.default_rng((seed, order))

@@ -23,10 +23,8 @@ that ``decompose`` is checked against.
 from __future__ import annotations
 
 import functools
-import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from . import lang
 from .lang import Span, Stmt
@@ -132,6 +130,16 @@ class Cfg:
         # JSON integers only: True would pass as 1, 2.0 and "3" as counts
         if type(n) is not int or n < 0:
             raise ValueError(f"vertex_count must be a non-negative integer, got {n!r}")
+        for name in ("edges", "vertices"):
+            if not isinstance(obj.get(name, []), list):
+                raise ValueError(f"{name} must be a list, got {obj[name]!r}")
+        specials = obj.get("specials")
+        if specials is not None and not (isinstance(specials, list) and len(specials) == 4):
+            raise ValueError(f"specials must be null or four vertex ids, got {specials!r}")
+        ids = [(name, obj[name]) for name in ("entry", "exit") if obj.get(name) is not None]
+        for name, v in ids + [("specials", v) for v in specials or ()]:
+            if type(v) is not int or not 0 <= v < n:
+                raise ValueError(f"{name}: vertex ids must be integers below {n}, got {v!r}")
         edges = []
         for item in obj.get("edges", []):
             if isinstance(item, (list, tuple)) and len(item) == 2:
@@ -168,7 +176,6 @@ class Cfg:
             ):
                 raise ValueError(f"vertex {vid}: spans must be [line, column] integer pairs, got {pairs!r}")
             spans[vid] = tuple((l, c) for l, c in pairs)
-        specials = obj.get("specials")
         return cls(
             n,
             tuple(edges),
@@ -241,8 +248,10 @@ class Decomposition:
         return len(self.nodes)
 
     def to_json(self) -> dict:
-        done: dict[int, dict] = {}
-        for i, node in enumerate(self.nodes):  # post-order: children first
+        """The nodes in post-order, each listing its children by index,
+        so ``root`` is the last index; and the CFG."""
+        nodes = []
+        for node in self.nodes:
             obj: dict = {
                 "kind": node.kind,
                 "specials": list(node.specials),
@@ -257,9 +266,9 @@ class Decomposition:
             if node.duplicates:
                 obj["duplicates"] = [list(d) for d in node.duplicates]
             if node.children:
-                obj["children"] = [done[c] for c in node.children]
-            done[i] = obj
-        return {"tree": done[self.root], "cfg": self.cfg.to_json()}
+                obj["children"] = list(node.children)
+            nodes.append(obj)
+        return {"nodes": nodes, "root": self.root, "cfg": self.cfg.to_json()}
 
 
 def decompose(tree: Stmt) -> Decomposition:
@@ -268,16 +277,6 @@ def decompose(tree: Stmt) -> Decomposition:
     Non-closed programs decompose fine (break/continue edges just end
     in the root's B/C vertices) but raise an `OpenProgramWarning`.
     """
-    report = lang.check_closed(tree)
-    if not report.is_closed:
-        first = report.violations[0]
-        warnings.warn(
-            f"program is not closed: {len(report.violations)} break/continue "
-            f"outside any loop (first at {first[0]}:{first[1]})",
-            OpenProgramWarning,
-            stacklevel=2,
-        )
-
     # Each subtree is handed its S, T, B, C as vertex classes: the root
     # gets 0-3, a ``;`` a new merge class, a ``while`` body four new
     # ones.  A class gets its CFG id when an atom or loop first creates
@@ -292,6 +291,9 @@ def decompose(tree: Stmt) -> Decomposition:
     # per finished subtree: its node and which of the edges S->T (1),
     # S->B (2), S->C (4) it has, the only ones a parallel node collapses
     results: list[tuple[int, int]] = []
+    # spans of the jumps outside every loop, which still target the
+    # root's B or C class; leaves finish left to right, in source order
+    open_jumps: list[Span] = []
     stack: list[tuple[Stmt, tuple[int, int, int, int], bool]] = [(tree, (0, 1, 2, 3), False)]
     while stack:
         node, classes, expanded = stack.pop()
@@ -340,10 +342,14 @@ def decompose(tree: Stmt) -> Decomposition:
             edge_info.setdefault((S, B), (BREAK, None))
             op = DecompNode("break", (), specials, node.span)
             mask = 2
+            if b == 2:
+                open_jumps.append(node.span)
         elif isinstance(node, lang.Continue):
             edge_info.setdefault((S, C), (CONTINUE, None))
             op = DecompNode("continue", (), specials, node.span)
             mask = 4
+            if c == 3:
+                open_jumps.append(node.span)
         elif isinstance(node, lang.While):
             child = results.pop()[0]
             s1, t1, b1, c1 = nodes[child].specials
@@ -361,6 +367,15 @@ def decompose(tree: Stmt) -> Decomposition:
                 spans.setdefault(v, []).append(node.span)
         nodes.append(op)
         results.append((len(nodes) - 1, mask))
+
+    if open_jumps:
+        line, col = open_jumps[0]
+        warnings.warn(
+            f"program is not closed: {len(open_jumps)} break/continue "
+            f"outside any loop (first at {line}:{col})",
+            OpenProgramWarning,
+            stacklevel=2,
+        )
 
     # relabel the out-edges of every vertex with two or more as branches
     out_deg: dict[int, list[int]] = {}
@@ -384,50 +399,3 @@ def decompose(tree: Stmt) -> Decomposition:
         spans={v: tuple(ss) for v, ss in spans.items()},
     )
     return Decomposition(tuple(nodes), cfg)
-
-
-def cfg_json_dumps(obj: dict) -> str:
-    """Stable serialization used by the CLI: same input, same bytes.
-
-    Writes what ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
-    writes, but keeps an explicit stack: the json encoder recurses once
-    per nesting level, so deeply nested programs would exhaust the
-    recursion limit.
-    """
-    out: list[str] = []
-    # per open container: its remaining (text before an entry, entry)
-    # pairs and its closing text
-    stack: list[tuple[Iterator, str]] = []
-    value = obj
-    while True:
-        if isinstance(value, (dict, list, tuple)) and value:
-            inner = "\n" + "  " * (len(stack) + 1)
-            if isinstance(value, dict):
-                # keys are sorted as given, then written as strings
-                items = sorted(value.items())
-                heads = [
-                    inner + json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
-                    for k, _ in items
-                ]
-                values = [v for _, v in items]
-                brackets = "{}"
-            else:
-                heads, values, brackets = [inner] * len(value), value, "[]"
-            heads[1:] = ["," + head for head in heads[1:]]
-            out.append(brackets[0])
-            stack.append((zip(heads, values), "\n" + "  " * len(stack) + brackets[1]))
-        elif isinstance(value, dict):
-            out.append("{}")
-        elif isinstance(value, (list, tuple)):
-            out.append("[]")
-        else:
-            out.append(json.dumps(value))
-        while stack:
-            entry = next(stack[-1][0], None)
-            if entry is not None:
-                out.append(entry[0])
-                value = entry[1]
-                break
-            out.append(stack.pop()[1])
-        else:
-            return "".join(out) + "\n"

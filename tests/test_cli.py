@@ -54,10 +54,14 @@ def test_parse_json(program, capsys):
     path = program("while p do break od")
     rc, out, err = run(capsys, "parse", path, "--json")
     assert rc == 0
-    obj = json.loads(out)
-    assert obj["kind"] == "while"
-    assert obj["guard"] == "p"
-    assert obj["children"][0]["kind"] == "break"
+    # preorder, root first, children by index
+    assert json.loads(out) == {
+        "nodes": [
+            {"kind": "while", "guard": "p", "span": [1, 1], "children": [1]},
+            {"kind": "break", "span": [1, 12]},
+        ],
+        "root": 0,
+    }
 
 
 def test_parse_dot(program, capsys):
@@ -113,7 +117,10 @@ def test_cfg_dot_and_tree(program, capsys):
     rc, out, _ = run(capsys, "cfg", path, "--tree")
     assert rc == 0
     obj = json.loads(out)
-    assert obj["tree"]["kind"] == "series"
+    # post-order, root last
+    assert obj["root"] == len(obj["nodes"]) - 1
+    assert obj["nodes"][obj["root"]]["kind"] == "series"
+    assert obj["cfg"]["vertex_count"] == 7
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +180,25 @@ def test_solve_bad_instance(program, capsys, tmp_path):
     assert rc == 1
     assert "error" in err
 
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"high": 1e400}', "random model high"),
+        ('{"low": true, "high": 2.7}', "random model low"),
+        ('{"inf_prob": 2.0}', "random model inf_prob"),
+        ('{"inf_prob": NaN}', "random model inf_prob"),
+        ('{"low": 5, "high": 1}', "random model low and high"),
+    ],
+)
+def test_solve_refuses_bad_random_model_parameters(program, capsys, tmp_path, text, named):
+    inst = tmp_path / "instance.json"
+    inst.write_text('{"domain_size": 2, "edge_costs": {"model": "random", ' + text[1:] + "}")
+    rc, out, err = run(capsys, "solve", program("a; b"), "--instance", str(inst))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and named in err
+    assert err.count("\n") == 1
 
 
 def test_solve_names_a_malformed_vertex_row(program, capsys, tmp_path):
@@ -429,6 +455,16 @@ def test_coloring_refuses_edge_endpoints_that_are_not_integers(capsys, tmp_path,
         ({"vertex_count": 3, "edges": [], "vertices": [{"id": 0, "spans": [[1]]}]}, "vertex 0"),
         ({"vertex_count": 3, "edges": [], "vertices": [{"id": 7, "spans": [[1, 1]]}]}, "vertex 7"),
         ({"vertex_count": 3, "edges": [], "vertices": [5]}, "vertex 5"),
+        ({"vertex_count": 3, "edges": [], "specials": 5}, "specials"),
+        ({"vertex_count": 3, "edges": [], "specials": [0, 1]}, "specials"),
+        ({"vertex_count": 3, "edges": [], "specials": [0, 1, 2, 3]}, "specials"),
+        ({"vertex_count": 3, "edges": [], "specials": [0, 1, None, 2]}, "specials"),
+        ({"vertex_count": 3, "edges": [], "vertices": 7}, "vertices"),
+        ({"vertex_count": 3, "edges": {"0": 1}}, "edges"),
+        ({"vertex_count": 3, "edges": [], "entry": 9}, "entry"),
+        ({"vertex_count": 3, "edges": [], "entry": True}, "entry"),
+        ({"vertex_count": 3, "edges": [], "exit": -1}, "exit"),
+        ({"vertex_count": 3, "edges": [], "exit": "2"}, "exit"),
     ],
 )
 def test_coloring_refuses_a_bad_vertex_count_or_edge_shape(capsys, tmp_path, graph, named):
@@ -527,6 +563,42 @@ def test_json_output_of_deeply_nested_program(capsys, program):
     rc, out, err = run(capsys, "cfg", path, "--tree")
     assert (rc, err) == (0, "")
     assert out.count('"kind": "loop"') == depth
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [
+        ("; ".join(f"x{i} := {i}" for i in range(5000)), 2 * 5000 - 1),
+        ("while p do " * 2000 + "a" + " od" * 2000, 2000 + 1),
+    ],
+    ids=["chain-5000", "nest-2000"],
+)
+def test_tree_json_stays_linear_in_program_size(capsys, program, text, count):
+    path = program(text)
+    for argv in (("parse", path, "--json"), ("cfg", path, "--tree")):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert len(out.encode()) < 8_000_000
+        obj = json.loads(out)
+        assert len(obj["nodes"]) == count
+        # every node but the root is the child of exactly one node
+        linked = sorted(i for node in obj["nodes"] for i in node.get("children", ()))
+        assert linked == [i for i in range(count) if i != obj["root"]]
+
+
+def test_cfg_writes_one_warning_line_on_an_open_program(tmp_path):
+    path = tmp_path / "prog.txt"
+    path.write_text("break; a")
+    proc = subprocess.run(
+        [sys.executable, "-m", "splcsp.cli", "cfg", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: program is not closed (1 break/continue outside any loop, first at 1:1)\n"
+    )
+    assert json.loads(proc.stdout)["vertex_count"] == 5
 
 
 def test_help_is_exit_code_0(capsys):

@@ -877,6 +877,45 @@ def test_instance_json_models():
         assert (rand.edge_tables[key] == again.edge_tables[key]).all()
 
 
+@pytest.mark.parametrize(
+    "params, named",
+    [
+        ({"high": float("inf")}, "random model high"),  # what json.loads reads 1e400 as
+        ({"high": 2.7}, "random model high"),
+        ({"low": True, "high": 2}, "random model low"),
+        ({"low": None}, "random model low"),
+        ({"seed": "1"}, "random model seed"),
+        ({"seed": -1}, "random model seed"),
+        ({"low": 5, "high": 1}, "random model low and high"),
+        ({"low": -1}, "random model low and high"),
+        ({"high": 2**52 + 1}, "random model low and high"),
+        ({"inf_prob": 2.0}, "random model inf_prob"),
+        ({"inf_prob": -0.5}, "random model inf_prob"),
+        ({"inf_prob": float("nan")}, "random model inf_prob"),
+        ({"inf_prob": True}, "random model inf_prob"),
+        ({"inf_prob": "0.5"}, "random model inf_prob"),
+    ],
+)
+def test_random_model_refuses_bad_parameters(params, named):
+    d = decompose_source("a")
+    with pytest.raises(ValueError, match=re.escape(named)):
+        instance_from_json(d.cfg, {"domain_size": 2, "edge_costs": {"model": "random", **params}})
+
+
+@pytest.mark.parametrize(
+    "params, table",
+    [
+        ({"low": 3, "high": 3}, [[3.0, 3.0], [3.0, 3.0]]),
+        ({"low": 0, "high": 0, "inf_prob": 1}, [[INFINITY, INFINITY], [INFINITY, INFINITY]]),
+        ({"low": 2**52, "high": 2**52, "inf_prob": 0}, [[2.0**52, 2.0**52], [2.0**52, 2.0**52]]),
+    ],
+)
+def test_random_model_accepts_its_bounds(params, table):
+    d = decompose_source("a")
+    inst = instance_from_json(d.cfg, {"domain_size": 2, "edge_costs": {"model": "random", **params}})
+    assert inst.edge_tables[(0, 1)].tolist() == table
+
+
 def test_instance_json_explicit_tables_and_inf():
     d = decompose_source("a")
     inst = instance_from_json(

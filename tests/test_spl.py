@@ -214,6 +214,37 @@ def test_closed_program_does_not_warn(recwarn):
     assert not [w for w in recwarn.list if issubclass(w.category, OpenProgramWarning)]
 
 
+def jump_trees():
+    """Small trees whose break and continue may sit outside every loop."""
+    leaves = st.sampled_from([lang.Epsilon("a"), lang.Break(), lang.Continue()])
+    return st.recursive(
+        leaves,
+        lambda inner: st.builds(lang.Seq, inner, inner)
+        | st.builds(lambda t, e: lang.If("p", t, e), inner, inner)
+        | st.builds(lambda body: lang.While("q", body), inner),
+        max_leaves=20,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(jump_trees())
+def test_open_program_warning_counts_what_check_closed_finds(tree):
+    tree = lang.parse_program(lang.pretty_print(tree))  # real spans
+    report = lang.check_closed(tree)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        decompose(tree)
+    opened = [str(w.message) for w in caught if issubclass(w.category, OpenProgramWarning)]
+    expected = []
+    if not report.is_closed:
+        line, col = report.violations[0]
+        expected = [
+            f"program is not closed: {len(report.violations)} break/continue "
+            f"outside any loop (first at {line}:{col})"
+        ]
+    assert opened == expected
+
+
 def test_spans_recorded_for_every_vertex_of_interest():
     d = decompose_source("a;\nwhile p do\n  b\nod")
     # every vertex allocated by an atom or loop carries source positions
@@ -435,8 +466,9 @@ def test_cfg_dot_output():
 def test_decomposition_json_shape():
     d = decompose_source("a; b")
     obj = d.to_json()
-    assert obj["tree"]["kind"] == "series"
-    assert [child["kind"] for child in obj["tree"]["children"]] == ["epsilon", "epsilon"]
+    assert obj["root"] == d.root == 2
+    assert [node["kind"] for node in obj["nodes"]] == ["epsilon", "epsilon", "series"]
+    assert obj["nodes"][2]["children"] == list(d.nodes[2].children) == [0, 1]
     assert obj["cfg"]["vertex_count"] == d.cfg.vertex_count
 
 
@@ -444,17 +476,3 @@ def test_edge_objects_are_immutable():
     e = Edge(0, 1, spl.STMT)
     with pytest.raises(AttributeError):
         e.src = 2
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(JSON_VALUES)
-def test_cfg_json_dumps_writes_what_json_dumps_writes(obj):
-    assert spl.cfg_json_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
