@@ -70,6 +70,14 @@ def _parse_ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
+def _edge_pair(text: str) -> tuple[int, int]:
+    try:
+        src, dst = map(int, text.split(","))
+    except ValueError:
+        raise ValueError(f"expected SRC,DST for --taken, got {text!r}") from None
+    return src, dst
+
+
 def _load_program(path: str) -> spl.Decomposition:
     # one stderr line, worded as `parse` words it, in place of Python's
     # display of the warning `decompose` raises, which names this file
@@ -149,7 +157,7 @@ def _cmd_bank(args) -> int:
         preassigned[int(v)] = int(b)
     taken = None
     if args.taken:
-        taken = frozenset(tuple(_parse_ints(item)) for item in args.taken)
+        taken = frozenset(map(_edge_pair, args.taken))
     spec = instances.BankSpec(
         banks=args.banks,
         preassigned=preassigned,

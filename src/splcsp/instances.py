@@ -48,7 +48,8 @@ class BankSpec:
     ``preassigned`` pins vertices that access a specific bank.  The
     entry starts with the bank unknown unless ``entry_unknown`` is
     false or the entry itself is preassigned.  ``taken_edges``
-    overrides the CFG's own notion of which branch edges are taken.
+    overrides the CFG's own notion of which branch edges are taken;
+    each pair in it must be an edge of the CFG.
     """
 
     banks: int
@@ -79,6 +80,9 @@ def build_bank_selection(cfg: Cfg, spec: BankSpec) -> PcspInstance:
         taken = {(e.src, e.dst) for e in cfg.edges if e.taken}
     else:
         taken = set(spec.taken_edges)
+        stray = taken - cfg.edge_map.keys()
+        if stray:
+            raise ValueError(f"taken edges that are not edges of the graph: {sorted(stray)[:4]}")
 
     # staying put or forgetting the bank is free; switching to a known
     # bank needs a selection instruction on the edge

@@ -173,9 +173,6 @@ class While(Stmt):
     body: "Stmt"
 
 
-ParseTree = Stmt
-
-
 def children(node: Stmt) -> tuple[Stmt, ...]:
     """Immediate subtrees of a node, left to right."""
     if isinstance(node, Seq):

@@ -8,11 +8,12 @@ vertex.  Costs are non-negative integers extended with ``INFINITY``
 `solve` minimizes the total cost over all assignments in one bottom-up
 pass over a decomposition: tables are indexed by the values of a
 subgraph's four special vertices, but only on the specials its edges
-touch.  A node whose subgraph holds no break or continue costs
-O(d**3) and any node at most O(d**5), so the whole run is linear in |G|
-and the answer is exact.  The pass runs ready nodes of one kind and
-shape together, one stacked numpy call per step, so at small d its
-cost per node is a share of a call rather than a call.  A chain of k
+touch, and each edge is charged once, by the first node that holds it.
+A node whose subgraph holds no break or continue costs O(d**3) and any
+node at most O(d**5), so the whole run is linear in |G| and the answer
+is exact.  The pass runs ready nodes of one kind and shape together,
+one stacked numpy call per step, so at small d its cost per node is a
+share of a call rather than a call.  A chain of k
 statements joined by ``;`` is regrouped as a balanced tree, so it takes
 about log2 k steps rather than k, and the minimizing assignment is read
 back by walking the recorded batches in reverse.  The assignment is an
@@ -59,10 +60,10 @@ _CHUNK = 1 << 16
 # stays near d**4 whatever the program's shape
 _BLOCK = 1 << 12
 
-# float64 holds every integer up to 2**53 exactly.  The DP's largest
-# intermediate is twice an instance's worst finite total (a parallel
-# node adds both branches before taking the shared edge back out), so
-# that total may not exceed 2**52.
+# float64 holds every integer up to 2**53 exactly, and every sum the DP
+# or the oracle forms is part of one assignment's total.  The limit on
+# the worst finite total stays one bit short, at the 2**52 that the
+# JSON random model and `CostOverflowError` already promise.
 _COST_LIMIT = 1 << 52
 
 
@@ -235,12 +236,15 @@ class PcspInstance:
             return f"edge table {key(r)} must be {d}x{d}"
 
         try:
-            stack = _floats(given) if len(given) else np.zeros((0, d, d))
+            stack = _floats(given)
         except ValueError:
             _check_shapes(given, (d, d), bad_table)
             raise
-        if stack.shape != shape:
-            _check_shapes(given, (d, d), bad_table)
+        if stack.size == 0 == shape[0]:
+            stack = np.zeros(shape)
+        elif stack.shape != shape:
+            if stack.ndim:
+                _check_shapes(given, (d, d), bad_table)
             raise ValueError(f"edge costs must be {len(keys)}x{d}x{d}")
         # the largest finite cost of every edge and vertex, added up
         uses = np.bincount(np.asarray(rows, dtype=np.intp), minlength=len(stack))
@@ -384,6 +388,12 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # continue edge costs d**3, and d**5 is the worst case (a series node,
 # or a loop's child, whose T, B and C are all touched).
 #
+# A parallel node merges its operands' specials, so an S->T, S->B or
+# S->C edge in both (its `duplicates`) is one CFG edge.  The first of
+# its holders in node order, leaves or loops (by their own S->T),
+# charges it and the others' tables are zeroed; between the parallel
+# node and a holder the edge joins two specials, so no minimum sees it.
+#
 # A loop's minimization over its child's specials separates, because
 # the exit value meets only the child's B (through the break edge): S,
 # then (T, C), then B.
@@ -391,11 +401,11 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # The pass runs in batches.  A node is ready once its inner children
 # are done; a leaf is never run on its own, since its table is its one
 # edge's row of the edge stack, which its parent gathers in its own
-# batch.  A ready node's class is its kind, its children's table shapes
-# and, at a parallel node, the axis each collapsed edge lands on; the
-# nodes of one class stack into one array per operand, so each numpy
-# call serves the whole batch, with the batch on axis 0 and the reduced
-# value on axis 1.  Each step takes the class of the lowest ready node
+# batch.  A ready node's class is its kind and its children's table
+# shapes, which the decomposition fixes for a given d; the nodes of one
+# class stack into one array per operand, so each numpy call serves
+# the whole batch, with the batch on axis 0 and the reduced value on
+# axis 1.  Each step takes the class of the lowest ready node
 # and runs that class's ready nodes, lowest first, up to `_BLOCK`
 # elements of its largest intermediate; a single node past that forms
 # its sums a few rows at a time.  Following the lowest ready node keeps
@@ -455,8 +465,8 @@ def _sum_min(a: np.ndarray, b: np.ndarray, axis: int, dtype) -> tuple[np.ndarray
 # steps, and small programs keep their decomposition as it is.
 _CHAIN = 8
 
-# the axis of a leaf's target in its (S, T, B, C) table
-_TARGET_AXIS = {"epsilon": 1, "break": 2, "continue": 3}
+# the table axis of the target of a leaf's one edge, or a loop's S->T
+_HELD_AXIS = {"epsilon": 1, "break": 2, "continue": 3, "loop": 1}
 
 
 def _widest(key: tuple, d: int) -> int:
@@ -548,29 +558,19 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
 
     def class_of(i: int) -> tuple:
         """The batch class of a node whose inner children are done: its
-        kind, its children's table shapes and, at a parallel node, the
-        axis each collapsed edge lands on."""
-        kind = nodes[i].kind
-        if kind == "loop":
-            (c,) = kids[i]
-            return kind, tables[c].shape if kids[c] else leaf_shapes[nodes[c].kind]
-        if not kids[i]:
-            return (kind,)
-        if kind != "series" and kind != "parallel":
-            raise ValueError(f"unknown node kind: {kind!r}")
-        left, right = kids[i]
-        lshape = tables[left].shape if kids[left] else leaf_shapes[nodes[left].kind]
-        rshape = tables[right].shape if kids[right] else leaf_shapes[nodes[right].kind]
-        if kind == "series":
-            return kind, lshape, rshape
-        _, T, B, _ = spec[i]
-        axes = tuple(1 if dst == T else 2 if dst == B else 3 for _, dst in nodes[i].duplicates)
-        return kind, lshape, rshape, axes
+        kind and its children's table shapes."""
+        key = [nodes[i].kind]
+        for c in kids[i]:
+            key.append(tables[c].shape if kids[c] else leaf_shapes[nodes[c].kind])
+        return tuple(key)
 
-    def leaves(idx, shape):
-        """The stacked tables of leaves ``idx``, of one shape: each
-        leaf's one edge, on its target's axis."""
-        return stack.take([leaf_rows[i] for i in idx], axis=0).reshape(len(idx), *shape)
+    def held(idx):
+        """The stacked (d, d) tables of the edges that leaves or loops
+        ``idx`` hold, zero where an earlier holder charges the edge."""
+        tab = stack.take([held_rows[i] for i in idx], axis=0)
+        if not zeroed.isdisjoint(idx):
+            tab[[j for j, i in enumerate(idx) if i in zeroed]] = 0.0
+        return tab
 
     def child(batch, k, shape):
         """The stacked tables of the batch's k-th children; leaves are
@@ -579,7 +579,7 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
         leaf = [i for i in idx if not kids[i]]
         if not leaf:
             return _stack([tables[i] for i in idx])
-        tab = leaves(leaf, shape)
+        tab = held(leaf).reshape(len(leaf), *shape)
         if len(leaf) == len(idx):
             return tab
         for i, t in zip(leaf, tab):
@@ -590,7 +590,7 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
     # are freed on return instead of staying bound while later batches
     # run; each returns the batch's stacked tables
     def leaf(key, batch):
-        return leaves(batch, leaf_shapes[key[0]])
+        return held(batch).reshape(len(batch), *leaf_shapes[key[0]])
 
     def series(key, batch):
         # axes: the merge point, S, then T, B and C.  The merge point's
@@ -605,33 +605,19 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
         return dp
 
     def parallel(key, batch):
-        dp = child(batch, 0, key[1]) + child(batch, 1, key[2])
-        # both operands carried each collapsed edge's cost: take one
-        # copy back out; inf - inf marks combinations that were
-        # impossible anyway
-        if key[3]:
-            n = len(batch)
-            dup = stack.take([rows[e] for i in batch for e in nodes[i].duplicates], axis=0)
-            dup = dup.reshape(n, len(key[3]), d, d)
-            with np.errstate(invalid="ignore"):
-                for k, axis in enumerate(key[3]):
-                    shape = [n, d, 1, 1, 1]
-                    shape[axis + 1] = d
-                    dp -= dup[:, k].reshape(shape)
-            dp[np.isnan(dp)] = INFINITY
-        return dp
+        return child(batch, 0, key[1]) + child(batch, 1, key[2])
 
     def loop(key, batch):
         n = len(batch)
         S, T = map(list, zip(*(spec[i][:2] for i in batch)))
         cs, ct, cb, cc = map(list, zip(*(spec[kids[i][0]] for i in batch)))
-        # the edges, each (n, d, d): enter S->cs, back ct->S and cc->S,
-        # exit cb->T and the loop's own S->T.  Each child special's
-        # vertex cost and mask ride on the edge table it meets, whatever
-        # the length of its axis in the child's table.
-        keys = [*zip(S, cs), *zip(ct, S), *zip(cc, S), *zip(cb, T), *zip(S, T)]
-        g = stack.take(list(map(rows.__getitem__, keys)), axis=0).reshape(5, n, d, d)
-        enter, back_t, back_c, exit_b, core = g
+        # the edges, each (n, d, d): enter S->cs, back ct->S and cc->S
+        # and exit cb->T; the loop's own S->T is held.  Each child
+        # special's vertex cost and mask ride on the edge table it
+        # meets, whatever the length of its axis in the child's table.
+        keys = [*zip(S, cs), *zip(ct, S), *zip(cc, S), *zip(cb, T)]
+        g = stack.take(list(map(rows.__getitem__, keys)), axis=0).reshape(4, n, d, d)
+        enter, back_t, back_c, exit_b = g
         v = vm.take(cs + ct + cc + cb, axis=0).reshape(4, n, d)
         enter += v[0, :, None, :]
         g[1:4] += v[1:, :, :, None]
@@ -656,7 +642,7 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
         x = np.minimum.reduce(x, axis=1)
         x = x.transpose(0, 2, 1)[:, :, :, None] + exit_b[:, :, None, :]
         arg_b = x.argmin(axis=1).astype(one)
-        core = np.minimum.reduce(x, axis=1) + core
+        core = np.minimum.reduce(x, axis=1) + held(batch)
         steps.append(((arg_s, arg_tc, arg_b), batch))
         return core[:, :, :, None, None]
 
@@ -667,14 +653,19 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
     ready: dict[tuple, list[int]] = {}
     waiting = bytearray(len(nodes))
     parent = [-1] * len(nodes)
-    # the edge-stack row of each leaf's one edge
-    leaf_rows = [0] * len(nodes)
+    # the row of each leaf's or loop's held edge; each duplicate's holders
+    held_rows = [0] * len(nodes)
+    holders: dict[tuple, list[int]] = {e: [] for node in nodes for e in node.duplicates}
     for i, children in enumerate(kids):
+        kind = nodes[i].kind
+        if kind not in (run if children else leaf_shapes):
+            raise ValueError(f"unknown node kind: {kind!r}")
+        if kind in _HELD_AXIS:
+            edge = spec[i][0], spec[i][_HELD_AXIS[kind]]
+            held_rows[i] = rows[edge]
+            if edge in holders:
+                holders[edge].append(i)
         if not children:
-            axis = _TARGET_AXIS.get(nodes[i].kind)
-            if axis is None:
-                raise ValueError(f"unknown node kind: {nodes[i].kind!r}")
-            leaf_rows[i] = rows[spec[i][0], spec[i][axis]]
             continue
         for c in children:
             if kids[c]:
@@ -682,6 +673,7 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
                 waiting[i] += 1
         if not waiting[i]:
             heappush(ready.setdefault(class_of(i), []), i)
+    zeroed = {i for hs in holders.values() for i in hs[1:]}
     root = decomp.root
     if not kids[root]:
         ready[class_of(root)] = [root]
@@ -884,6 +876,24 @@ def _json_ints(values: list, what: str) -> list:
     return values
 
 
+def _fields(items: list, names: tuple, what: str) -> list[list]:
+    """Each field of ``names`` over the objects ``items``, one list per
+    name; anything else is refused naming ``what``."""
+    try:
+        return [[item[name] for item in items] for name in names]
+    except (TypeError, KeyError):
+        raise ValueError(f"{what} must be a list of objects with {', '.join(names)}") from None
+
+
+def _vertex_key(k) -> int:
+    """An ``allowed`` key, the decimal text of a vertex, as an int; text
+    that `int` would also read, such as " 3", "+2", "03" or "1_0", is
+    refused."""
+    if not (type(k) is str and k.isascii() and k.isdigit() and str(int(k)) == k):
+        raise ValueError(f"allowed key must be a vertex number, got {k!r}")
+    return int(k)
+
+
 def _cost_from_json(x) -> float:
     _check_costs([[x]])
     return float(_floats(x))
@@ -943,6 +953,10 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
     parsed lists and are handed on in ``cfg.edges`` order, so
     `PcspInstance` converts them in one `np.array` call; the last table
     given for an edge wins, and edges left out cost nothing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"an instance must be a JSON object, got {type(obj).__name__}")
+    if "domain_size" not in obj:
+        raise ValueError("an instance needs domain_size")
     (d,) = _json_ints([obj["domain_size"]], "domain_size")
     ec = obj.get("edge_costs")
     edge_costs: Mapping | list | np.ndarray | None
@@ -951,10 +965,8 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
     elif isinstance(ec, dict):
         edge_costs = _model_costs(ec, cfg, d)
     else:
-        src = _json_ints([item["src"] for item in ec], "edge src")
-        dst = _json_ints([item["dst"] for item in ec], "edge dst")
-        keys = list(zip(src, dst))
-        tables = [item["table"] for item in ec]
+        src, dst, tables = _fields(ec, ("src", "dst", "table"), "edge_costs")
+        keys = list(zip(_json_ints(src, "edge src"), _json_ints(dst, "edge dst")))
         try:
             _check_costs(list(itertools.chain.from_iterable(tables)))
         except (TypeError, ValueError):
@@ -970,27 +982,30 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
         zero = [[0] * d] * d
         edge_costs = [by_key.get((e.src, e.dst), zero) for e in cfg.edges]
     vc = obj.get("vertex_costs")
-    vertex_costs: list | dict | np.ndarray | None
-    if vc is None:
-        vertex_costs = None
-    elif isinstance(vc, dict):
+    vertex_costs: list | dict | np.ndarray | None = vc
+    if isinstance(vc, dict):
         if vc.get("model") != "constant":
             raise ValueError(f"unknown vertex cost model: {vc.get('model')!r}")
         vertex_costs = np.full(
             (cfg.vertex_count, d), _cost_from_json(vc.get("cost", 0))
         )
-    elif vc and isinstance(vc[0], dict):
-        rows = [item["costs"] for item in vc]
-        _check_costs(rows)
-        vertex_costs = dict(zip(_json_ints([item["v"] for item in vc], "vertex v"), rows))
-    else:
-        _check_costs(vc)
-        vertex_costs = vc
+    elif vc is not None:
+        if not isinstance(vc, list):
+            raise ValueError("vertex_costs must be a cost model or a list")
+        rows = vc
+        if vc and isinstance(vc[0], dict):
+            vs, rows = _fields(vc, ("v", "costs"), "vertex_costs")
+            vertex_costs = dict(zip(_json_ints(vs, "vertex v"), rows))
+        try:
+            _check_costs(rows)
+        except (TypeError, ValueError):
+            _check_shapes(rows, (d,), lambda i: f"vertex_costs entry {i} must be a list of {d} costs")
+            raise
     allowed = obj.get("allowed")
     if allowed is not None:
         if not (isinstance(allowed, dict) and all(isinstance(vals, list) for vals in allowed.values())):
             raise ValueError("allowed must map vertices to lists of values")
-        allowed = {int(v): _json_ints(vals, "allowed value") for v, vals in allowed.items()}
+        allowed = {_vertex_key(k): _json_ints(vals, "allowed value") for k, vals in allowed.items()}
     return PcspInstance(cfg, d, edge_costs, vertex_costs, allowed)
 
 

@@ -243,10 +243,6 @@ class Decomposition:
     def root(self) -> int:
         return len(self.nodes) - 1
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
     def to_json(self) -> dict:
         """The nodes in post-order, each listing its children by index,
         so ``root`` is the last index; and the CFG."""

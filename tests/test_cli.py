@@ -307,6 +307,34 @@ def test_bank_bad_preassignment(program, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("taken", ["1", "1,2,3", "x,y", ""])
+def test_bank_refuses_a_taken_value_that_is_no_pair(program, capsys, taken):
+    rc, out, err = run(capsys, "bank", program(BANK_PROGRAM), "--banks", "1", "--taken", taken)
+    assert (rc, out) == (1, "")
+    assert err == f"error: expected SRC,DST for --taken, got {taken!r}\n"
+
+
+def test_bank_refuses_a_taken_pair_that_is_no_edge(program, capsys):
+    rc, out, err = run(capsys, "bank", program(BANK_PROGRAM), "--banks", "1", "--taken", "99,100")
+    assert (rc, out) == (1, "")
+    assert err == "error: taken edges that are not edges of the graph: [(99, 100)]\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('"x"', "an instance must be a JSON object, got str"),
+        ('{"domain_size": 2, "edge_costs": [5]}', "edge_costs must be a list of objects with src, dst, table"),
+        ('{"domain_size": 2, "allowed": {"1_0": [0]}}', "allowed key must be a vertex number, got '1_0'"),
+    ],
+)
+def test_solve_names_the_field_of_a_malformed_instance(program, capsys, tmp_path, text, message):
+    inst = tmp_path / "instance.json"
+    inst.write_text(text)
+    rc, out, err = run(capsys, "solve", program("a; b; c"), "--instance", str(inst))
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_lospre_subcommand(program, capsys):
     path = program(LOSPRE_PROGRAM)
     rc, out, _ = run(capsys, "lospre", path, "--use", "4,5", "--oracle-check")

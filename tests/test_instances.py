@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -161,6 +162,15 @@ def test_bank_validation():
         build_bank_selection(d.cfg, BankSpec(banks=2, preassigned={99: 0}))
     with pytest.raises(ValueError):
         build_bank_selection(d.cfg, BankSpec(banks=0))
+
+
+def test_bank_refuses_taken_pairs_that_are_not_edges():
+    d = decompose_source(BANK_PROGRAM)
+    edge = (d.cfg.edges[0].src, d.cfg.edges[0].dst)
+    for taken in ({(99, 100)}, {edge, (99, 100), (0, 0)}):
+        with pytest.raises(ValueError, match=re.escape(str(sorted(taken - {edge})))):
+            build_bank_selection(d.cfg, BankSpec(banks=2, taken_edges=frozenset(taken)))
+    build_bank_selection(d.cfg, BankSpec(banks=2, taken_edges=frozenset({edge})))
 
 
 def test_bank_refuses_a_taken_edge_price_beyond_exact_sums():

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def test_solution_json():
 def test_dp_tables_shapes_and_atom_contents():
     inst, d = single_edge_instance(allowed={0: [1]})
     tabs = dp_tables(inst, d)
-    assert len(tabs) == d.node_count
+    assert len(tabs) == len(d.nodes)
     assert all(t.shape == (2, 2, 2, 2) for t in tabs)
     root = tabs[d.root]
     # the atom's table is the edge table on the (S, T) axes with the
@@ -281,15 +282,23 @@ def brute_node_table(inst, decomp, i):
         "while p do a od",
         "while p do if q then break else continue fi od",
         "a; while p do b; break od; c",
+        # parallel nodes that collapse an edge held by both branches
+        "if p then a else b fi",
+        "while p do if q then break else break fi od",
+        "while p do if q then continue else continue fi od",
+        "if p then a else while q do b od fi",
+        "if p then while q do a od else while r do b od fi",
+        "while p do if q then break else if r then break else "
+        "if s then break else break fi fi fi od",
     ],
 )
 def test_dp_tables_match_exhaustive_subproblems(src):
     d = decompose_source(src)
-    rng = np.random.default_rng(hash(src) % (1 << 32))
+    rng = np.random.default_rng(zlib.crc32(src.encode()))
     inst = gen.random_instance(d.cfg, 2, seed=int(rng.integers(1 << 30)),
                                inf_prob=0.2, restrict_prob=0.3)
     tabs = dp_tables(inst, d)
-    for i in range(d.node_count):
+    for i in range(len(d.nodes)):
         expect = brute_node_table(inst, d, i)
         got = tabs[i]
         assert ((got == expect) | (np.isinf(got) & np.isinf(expect))).all(), i
@@ -974,6 +983,40 @@ def test_json_allowed_must_map_vertices_to_lists(allowed):
     d = decompose_source("a")
     with pytest.raises(ValueError, match="^allowed must map vertices to lists of values$"):
         instance_from_json(d.cfg, {"domain_size": 2, "allowed": allowed})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ("x", r"^an instance must be a JSON object, got str$"),
+        ([1, 2], r"^an instance must be a JSON object, got list$"),
+        ({"edge_costs": None}, r"^an instance needs domain_size$"),
+        ({"domain_size": 2, "edge_costs": [5]}, r"^edge_costs must be a list of objects with src, dst, table$"),
+        ({"domain_size": 2, "edge_costs": [{"src": 0, "dst": 1}]}, r"^edge_costs must be a list of objects"),
+        ({"domain_size": 2, "edge_costs": 5}, r"^edge_costs must be a list of objects"),
+        ({"domain_size": 2, "vertex_costs": [{"v": 0}]}, r"^vertex_costs must be a list of objects with v, costs$"),
+        ({"domain_size": 2, "vertex_costs": 5}, r"^vertex_costs must be a cost model or a list$"),
+        ({"domain_size": 2, "vertex_costs": [[0, 0], 5]}, r"^vertex_costs entry 1 must be a list of 2 costs$"),
+        ({"domain_size": 2, "vertex_costs": [{"v": 0, "costs": 5}]}, r"^vertex_costs entry 0 must be a list"),
+    ],
+)
+def test_json_refusals_name_their_field(obj, message):
+    d = decompose_source("a; b; c")
+    with pytest.raises(ValueError, match=message):
+        instance_from_json(d.cfg, obj)
+
+
+@pytest.mark.parametrize("key", [" 3", "3 ", "+2", "03", "1_0", "1.5", "", "-0", "three"])
+def test_json_allowed_keys_are_plain_vertex_numbers(key):
+    d = decompose_source("a; b; c")
+    with pytest.raises(ValueError, match=f"^allowed key must be a vertex number, got {re.escape(repr(key))}$"):
+        instance_from_json(d.cfg, {"domain_size": 2, "allowed": {key: [0]}})
+
+
+def test_edge_costs_that_are_no_array_are_refused_by_shape():
+    d = decompose_source("a")
+    with pytest.raises(ValueError, match=r"^edge costs must be 1x2x2$"):
+        PcspInstance(d.cfg, 2, edge_costs=5)
 
 
 def test_allowed_values_are_not_truncated():
