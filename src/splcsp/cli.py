@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/parse/input errors, 2 infeasible
-instance (minimum cost INFINITY), 3 solver/oracle mismatch.
+instance (minimum cost INFINITY), 3 `solve` and the oracle disagree
+under ``--oracle-check``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import bench as bench_mod
 from . import instances, lang, solver, spl
 from .gen import GenConfig, gen_random_program
 
@@ -64,10 +64,13 @@ def _warn_if_open(tree: lang.Stmt) -> None:
         )
 
 
-def _parse_ints(text: str) -> list[int]:
+def _parse_ints(text: str, option: str) -> list[int]:
     if not text.strip():
         return []
-    return [int(part) for part in text.split(",")]
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"expected V,V,... for {option}, got {text!r}") from None
 
 
 def _edge_pair(text: str) -> tuple[int, int]:
@@ -154,7 +157,10 @@ def _cmd_bank(args) -> int:
     preassigned = {}
     for item in args.preassign or []:
         v, _, b = item.partition("=")
-        preassigned[int(v)] = int(b)
+        try:
+            preassigned[int(v)] = int(b)
+        except ValueError:
+            raise ValueError(f"expected V=B for --preassign, got {item!r}") from None
     taken = None
     if args.taken:
         taken = frozenset(map(_edge_pair, args.taken))
@@ -182,8 +188,8 @@ def _cmd_lospre(args) -> int:
     if args.vertex_cost:
         vertex_costs = {v: args.vertex_cost for v in range(decomp.cfg.vertex_count)}
     spec = instances.LospreSpec(
-        use=frozenset(_parse_ints(args.use)),
-        invalidating=frozenset(_parse_ints(args.invalidating)),
+        use=frozenset(_parse_ints(args.use, "--use")),
+        invalidating=frozenset(_parse_ints(args.invalidating, "--invalidating")),
         edge_costs=edge_costs,
         vertex_costs=vertex_costs,
     )
@@ -201,7 +207,7 @@ def _cmd_regalloc(args) -> int:
         var, sep, vs = item.partition("=")
         if not sep or not var:
             raise ValueError(f"expected VAR=V,V,... for --lifetime, got {item!r}")
-        lifetimes[var] = frozenset(_parse_ints(vs))
+        lifetimes[var] = frozenset(_parse_ints(vs, "--lifetime"))
     spec = instances.RegAllocSpec(
         lifetimes=lifetimes,
         registers=args.registers,
@@ -226,23 +232,6 @@ def _cmd_coloring(args) -> int:
 def _cmd_gen(args) -> int:
     tree = gen_random_program(GenConfig(seed=args.seed, size=args.size))
     sys.stdout.write(lang.pretty_print(tree))
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    records = bench_mod.run_bench(
-        sizes=_parse_ints(args.sizes),
-        domain=args.domain,
-        trials=args.trials,
-        seed=args.seed,
-        with_oracle=args.with_oracle,
-        inf_prob=args.inf_prob,
-    )
-    if args.csv:
-        with open(args.csv, "w") as fp:
-            bench_mod.write_csv(records, fp)
-    else:
-        bench_mod.write_csv(records, sys.stdout)
     return 0
 
 
@@ -314,16 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True, help="statement count")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bench", help="time the solver on random programs")
-    p.add_argument("--sizes", required=True, metavar="N,N,...")
-    p.add_argument("--domain", type=int, default=2)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--with-oracle", action="store_true")
-    p.add_argument("--inf-prob", type=float, default=0.0)
-    p.add_argument("--csv", help="write CSV here instead of stdout")
-    p.set_defaults(func=_cmd_bench)
-
     return parser
 
 
@@ -335,9 +314,6 @@ def run_cli(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except bench_mod.OracleMismatchError as e:
-        print(f"oracle mismatch: {e}", file=sys.stderr)
-        return 3
     except (lang.ProgramSyntaxError, solver.BudgetExceededError, ValueError, KeyError, TypeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -35,6 +35,7 @@ then checks like any table.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -166,9 +167,7 @@ class PcspInstance:
     mapping from vertex to a length-d vector, None, or a callable
     ``f(v, a)`` that is tabulated first.  ``allowed`` maps vertices to
     non-empty subsets of the domain; unlisted vertices allow everything.
-    The sets are kept once, as ``allowed``, one sorted tuple per vertex;
-    ``allowed_mask``, the same sets as an (n, d) array of 0 and
-    INFINITY, is derived from it on first use.
+    The sets are kept once, as ``allowed``, one sorted tuple per vertex.
 
     The edge costs are stored once: ``edge_stack`` is a read-only
     (k, d, d) array of distinct tables, and ``edge_rows`` maps every
@@ -302,14 +301,6 @@ class PcspInstance:
                 raise ValueError(f"allowed set for vertex {v} leaves the domain")
             sets[v] = tuple(vals)
         self.allowed = tuple(sets)
-
-    @functools.cached_property
-    def allowed_mask(self) -> np.ndarray:
-        """``allowed`` as a read-only (n, d) array: 0 at an allowed
-        value, INFINITY elsewhere."""
-        mask = _masked(np.zeros((len(self.allowed), self.d)), self.allowed)
-        mask.setflags(write=False)
-        return mask
 
     @functools.cached_property
     def edge_tables(self) -> dict[tuple[int, int], np.ndarray]:
@@ -849,11 +840,12 @@ def as_csp(instance: PcspInstance) -> PcspInstance:
 # serialization
 
 
-def _check_costs(rows: list) -> None:
+def _check_costs(rows: list, where: Callable[[int], str]) -> None:
     """Refuse any cell of ``rows`` (lists of costs) other than an int
     or the string "inf", the two forms a JSON cost takes; `np.array`
     alone would also take True, 1.5, "nan", " 2" or "-inf".  Each pass
-    streams the cells in C."""
+    streams the cells in C.  The refusal starts with ``where(i)``, the
+    source of row ``i``, the first row with a bad cell."""
     cells = itertools.chain.from_iterable
     kinds = set(map(type, cells(rows)))
     if kinds <= {int, str}:
@@ -863,8 +855,13 @@ def _check_costs(rows: list) -> None:
         # are the strings
         if set(itertools.filterfalse(int.__instancecheck__, cells(rows))) == {"inf"}:
             return
-    bad = next(x for x in cells(rows) if type(x) is not int and not (type(x) is str and x == "inf"))
-    raise ValueError(f"costs are integers or \"inf\", got {bad!r}")
+    i, bad = next(
+        (i, x)
+        for i, row in enumerate(rows)
+        for x in row
+        if type(x) is not int and not (type(x) is str and x == "inf")
+    )
+    raise ValueError(f"{where(i)}: costs are integers or \"inf\", got {bad!r}")
 
 
 def _json_ints(values: list, what: str) -> list:
@@ -894,8 +891,8 @@ def _vertex_key(k) -> int:
     return int(k)
 
 
-def _cost_from_json(x) -> float:
-    _check_costs([[x]])
+def _cost_from_json(x, what: str) -> float:
+    _check_costs([[x]], lambda _: what)
     return float(_floats(x))
 
 
@@ -936,11 +933,11 @@ def _model_costs(model: dict, cfg: Cfg, d: int) -> Mapping | np.ndarray:
                 tab[rng.random((d, d)) < inf_prob] = INFINITY
         return out
     if kind == "constant":
-        tab = np.full((d, d), _cost_from_json(model.get("cost", 0)))
+        tab = np.full((d, d), _cost_from_json(model.get("cost", 0), "edge_costs model cost"))
     elif kind == "disagree":
-        tab = np.where(np.eye(d, dtype=bool), 0.0, _cost_from_json(model.get("cost", 1)))
+        tab = np.where(np.eye(d, dtype=bool), 0.0, _cost_from_json(model.get("cost", 1), "edge_costs model cost"))
     elif kind == "equal":
-        tab = np.where(np.eye(d, dtype=bool), _cost_from_json(model.get("cost", 1)), 0.0)
+        tab = np.where(np.eye(d, dtype=bool), _cost_from_json(model.get("cost", 1), "edge_costs model cost"), 0.0)
     else:
         raise ValueError(f"unknown edge cost model: {kind!r}")
     return {(e.src, e.dst): tab for e in cfg.edges}
@@ -967,8 +964,14 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
     else:
         src, dst, tables = _fields(ec, ("src", "dst", "table"), "edge_costs")
         keys = list(zip(_json_ints(src, "edge src"), _json_ints(dst, "edge dst")))
+
+        def table_of_row(i: int) -> str:
+            # the rows are chained table after table
+            ends = list(itertools.accumulate(map(len, tables)))
+            return f"edge table {keys[bisect.bisect(ends, i)]}"
+
         try:
-            _check_costs(list(itertools.chain.from_iterable(tables)))
+            _check_costs(list(itertools.chain.from_iterable(tables)), table_of_row)
         except (TypeError, ValueError):
             # a table that is no d x d table at all says so first
             _check_shapes(tables, (d, d), lambda i: f"edge table {keys[i]} must be {d}x{d}")
@@ -987,7 +990,7 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
         if vc.get("model") != "constant":
             raise ValueError(f"unknown vertex cost model: {vc.get('model')!r}")
         vertex_costs = np.full(
-            (cfg.vertex_count, d), _cost_from_json(vc.get("cost", 0))
+            (cfg.vertex_count, d), _cost_from_json(vc.get("cost", 0), "vertex_costs model cost")
         )
     elif vc is not None:
         if not isinstance(vc, list):
@@ -997,7 +1000,7 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
             vs, rows = _fields(vc, ("v", "costs"), "vertex_costs")
             vertex_costs = dict(zip(_json_ints(vs, "vertex v"), rows))
         try:
-            _check_costs(rows)
+            _check_costs(rows, lambda i: f"vertex_costs entry {i}")
         except (TypeError, ValueError):
             _check_shapes(rows, (d,), lambda i: f"vertex_costs entry {i} must be a list of {d} costs")
             raise

@@ -220,6 +220,15 @@ def node_graph(decomp: Decomposition, index: int) -> SplGraph:
     )
 
 
+def allowed_mask(instance: PcspInstance) -> np.ndarray:
+    """``instance.allowed`` as an (n, d) array: 0 at an allowed value,
+    INFINITY elsewhere."""
+    mask = np.full((len(instance.allowed), instance.d), solver.INFINITY)
+    for v, vals in enumerate(instance.allowed):
+        mask[v, list(vals)] = 0.0
+    return mask
+
+
 def dp_tables(instance: PcspInstance, decomp: Decomposition) -> list[np.ndarray]:
     """Every node's table, in decomposition (post-)order, each full
     (d, d, d, d) with every special's allowed set applied.
@@ -228,7 +237,7 @@ def dp_tables(instance: PcspInstance, decomp: Decomposition) -> list[np.ndarray]
     node, so its table is the root table of the forward pass run over
     that run alone."""
     nodes = decomp.nodes
-    am = instance.allowed_mask
+    am = allowed_mask(instance)
     first: list[int] = []  # each node's lowest descendant
     full = []
     for i, node in enumerate(nodes):

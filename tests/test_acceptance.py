@@ -10,8 +10,7 @@ import time
 
 import numpy as np
 
-from splcsp import bench, lang, solver
-from splcsp.bench import run_bench
+from splcsp import lang, solver
 from splcsp.gen import GenConfig, gen_random_program, random_instance
 from splcsp.instances import (
     BankSpec,
@@ -218,31 +217,34 @@ def test_solve_time_scales_linearly(monkeypatch):
     # load moves.  Part of solve's wall time is per batch, and batch
     # counts grow more slowly than node counts, so the wall-clock
     # ratio has only an upper bound.
-    work: list[int] = []
-    real_solve, real_sum_min = bench.solve, solver._sum_min
-
-    def counting_solve(instance, decomp):
-        work.append(0)
-        return real_solve(instance, decomp)
+    real_sum_min = solver._sum_min
 
     def counting_sum_min(a, b, axis, dtype):
         work[-1] += math.prod(np.broadcast_shapes(a.shape, b.shape))
         return real_sum_min(a, b, axis, dtype)
 
-    monkeypatch.setattr(bench, "solve", counting_solve)
     monkeypatch.setattr(solver, "_sum_min", counting_sum_min)
     t0 = time.perf_counter()
-    sizes = [100, 200, 500, 1000, 2000, 4000]
-    records = run_bench(sizes=sizes, domain=2, trials=20, seed=0)
-    assert len(work) == len(records)
+    sizes, trials = [100, 200, 500, 1000, 2000, 4000], 20
+    # one solve per (size, trial), in that order; only `solve` is timed
+    work: list[int] = []
+    times: list[int] = []
+    for size in sizes:
+        for trial in range(trials):
+            seed = size * 1009 + trial
+            decomp = decompose(gen_random_program(GenConfig(seed=seed, size=size)))
+            inst = random_instance(decomp.cfg, 2, seed=seed + 1, inf_prob=0.0, restrict_prob=0.0)
+            work.append(0)
+            start = time.perf_counter_ns()
+            solve(inst, decomp)
+            times.append(time.perf_counter_ns() - start)
 
     # the median of each size's trials: one trial slowed by host load
-    # moves a mean, not a median; records and solves are both in
-    # (size, trial) order
+    # moves a mean, not a median
     def median(values, size):
-        return statistics.median(v for r, v in zip(records, values) if r.size == size)
+        first = sizes.index(size) * trials
+        return statistics.median(values[first : first + trials])
 
-    times = [r.solve_ns for r in records]
     for n in (100, 500, 2000):
         ratio = median(work, 2 * n) / median(work, n)
         assert 1.5 <= ratio <= 3.0, f"size {n} -> {2 * n}: work ratio {ratio:.2f}"

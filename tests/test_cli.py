@@ -387,6 +387,24 @@ def test_regalloc_lifetime_without_name(program, capsys):
     assert "VAR=V,V,..." in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lospre", "--use", "x"], "expected V,V,... for --use, got 'x'"),
+        (["lospre", "--use", "1,,2"], "expected V,V,... for --use, got '1,,2'"),
+        (["lospre", "--use", "1", "--invalidating", "2,y"], "expected V,V,... for --invalidating, got '2,y'"),
+        (["regalloc", "--registers", "1", "--lifetime", "x=0,a"], "expected V,V,... for --lifetime, got '0,a'"),
+        (["bank", "--banks", "1", "--preassign", "1"], "expected V=B for --preassign, got '1'"),
+        (["bank", "--banks", "1", "--preassign", "1=b"], "expected V=B for --preassign, got '1=b'"),
+    ],
+)
+def test_integer_options_name_the_option_they_refuse(program, capsys, argv, message):
+    command, *options = argv
+    rc, out, err = run(capsys, command, program("a; b; c"), *options)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_coloring_subcommand(capsys, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text(
@@ -520,7 +538,7 @@ def test_coloring_with_a_self_loop(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# gen and bench
+# gen
 
 
 def test_gen_subcommand(capsys):
@@ -530,27 +548,6 @@ def test_gen_subcommand(capsys):
     assert lang.count_statements(tree) == 25
     rc, again, _ = run(capsys, "gen", "--seed", "11", "--size", "25")
     assert again == out
-
-
-def test_bench_subcommand_stdout(capsys):
-    rc, out, _ = run(capsys, "bench", "--sizes", "2,3", "--trials", "2")
-    assert rc == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("size,id,vertices,")
-    assert len(lines) == 5
-
-
-def test_bench_subcommand_csv_file(capsys, tmp_path):
-    out_path = tmp_path / "bench.csv"
-    rc, out, _ = run(
-        capsys, "bench", "--sizes", "2", "--trials", "1", "--with-oracle",
-        "--csv", str(out_path),
-    )
-    assert rc == 0
-    assert out == ""
-    lines = out_path.read_text().splitlines()
-    assert len(lines) == 2
-    assert lines[1].split(",")[6] != ""  # oracle was timed
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +561,13 @@ def test_usage_errors_are_exit_code_1(capsys):
     capsys.readouterr()
     assert run_cli([]) == 1
     capsys.readouterr()
+
+
+def test_bench_is_an_unknown_command(capsys):
+    # timing lives in benchmark/run.py
+    rc, out, err = run(capsys, "bench", "--sizes", "2")
+    assert (rc, out) == (1, "")
+    assert "invalid choice: 'bench'" in err
 
 
 def test_parse_deeply_nested_program(capsys, program):
@@ -633,7 +637,7 @@ def test_help_is_exit_code_0(capsys):
     assert run_cli(["--help"]) == 0
     out = capsys.readouterr().out
     for name in ("parse", "cfg", "solve", "bank", "lospre", "regalloc",
-                 "coloring", "gen", "bench"):
+                 "coloring", "gen"):
         assert name in out
 
 

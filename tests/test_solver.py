@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import dp_tables, node_graph
+from reference import allowed_mask, dp_tables, node_graph
 from splcsp import gen, lang, solver
 from splcsp.instances import build_graph_coloring
 from splcsp.solver import (
@@ -697,7 +697,7 @@ def test_straight_line_at_large_domain_matches_viterbi():
         allowed,
     )
     # the edges form one path from the entry: run Viterbi along it
-    cost = inst.vertex_costs + inst.allowed_mask
+    cost = inst.vertex_costs + allowed_mask(inst)
     succ = {e.src: e.dst for e in cfg.edges}
     assert len(succ) == 30
     v = cfg.entry
@@ -1026,7 +1026,7 @@ def test_allowed_values_are_not_truncated():
     inst = PcspInstance(d.cfg, 2, allowed={0: [np.int64(1)], 1: np.array([0], dtype=np.uint8)})
     assert inst.allowed[:2] == ((1,), (0,))
     assert all(type(a) is int for a in inst.allowed[0] + inst.allowed[1])
-    assert inst.allowed_mask[:2].tolist() == [[INFINITY, 0.0], [0.0, INFINITY]]
+    assert allowed_mask(inst)[:2].tolist() == [[INFINITY, 0.0], [0.0, INFINITY]]
 
 
 # ---------------------------------------------------------------------------
@@ -1200,6 +1200,30 @@ def test_json_decoder_refuses_what_is_not_an_int_or_inf(bad):
         instance_from_json(d.cfg, {"domain_size": 2, "vertex_costs": [{"v": 1, "costs": [bad, 0]}]})
     with pytest.raises(ValueError, match=message):
         instance_from_json(d.cfg, {"domain_size": 2, "edge_costs": {"model": "constant", "cost": bad}})
+
+
+@pytest.mark.parametrize(
+    "obj, where",
+    [
+        (
+            {"edge_costs": [
+                {"src": 0, "dst": 1, "table": [[0, 1], [2, 3]]},
+                {"src": 1, "dst": 4, "table": [[0, 1], [2, "x"]]},
+            ]},
+            "edge table (1, 4)",
+        ),
+        ({"vertex_costs": [[0, 0], [0, 0], ["x", 0], [0, 0], [0, 0]]}, "vertex_costs entry 2"),
+        ({"vertex_costs": [{"v": 4, "costs": [0, 0]}, {"v": 0, "costs": ["x", 0]}]}, "vertex_costs entry 1"),
+        ({"edge_costs": {"model": "constant", "cost": "x"}}, "edge_costs model cost"),
+        ({"edge_costs": {"model": "disagree", "cost": "x"}}, "edge_costs model cost"),
+        ({"vertex_costs": {"model": "constant", "cost": "x"}}, "vertex_costs model cost"),
+    ],
+)
+def test_json_decoder_names_where_a_bad_cost_is(obj, where):
+    d = decompose_source("a; b")
+    with pytest.raises(ValueError) as info:
+        instance_from_json(d.cfg, {"domain_size": 2, **obj})
+    assert str(info.value) == f"{where}: costs are integers or \"inf\", got 'x'"
 
 
 def test_random_instance_round_trips_byte_for_byte():
