@@ -30,8 +30,7 @@ decomp = decompose(parse_program("a;\nif p then b1; b2 else c fi;\nd"))
 cfg = decomp.cfg
 
 # both variables live on the whole executable part of the graph
-live = frozenset(v for v in range(cfg.vertex_count)
-                 if cfg.in_degree()[v] or cfg.out_degree()[v])
+live = frozenset(v for e in cfg.edges for v in (e.src, e.dst))
 spec = RegAllocSpec(lifetimes={"x": live, "y": live}, registers=2)
 instance = build_regalloc(cfg, spec)
 print("\ndomain size:", instance.d)

@@ -68,14 +68,14 @@ def _parse_ints(text: str, option: str) -> list[int]:
     if not text.strip():
         return []
     try:
-        return [int(part) for part in text.split(",")]
+        return [solver._vertex_key(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"expected V,V,... for {option}, got {text!r}") from None
 
 
 def _edge_pair(text: str) -> tuple[int, int]:
     try:
-        src, dst = map(int, text.split(","))
+        src, dst = map(solver._vertex_key, text.split(","))
     except ValueError:
         raise ValueError(f"expected SRC,DST for --taken, got {text!r}") from None
     return src, dst
@@ -158,7 +158,7 @@ def _cmd_bank(args) -> int:
     for item in args.preassign or []:
         v, _, b = item.partition("=")
         try:
-            preassigned[int(v)] = int(b)
+            preassigned[solver._vertex_key(v)] = int(b)
         except ValueError:
             raise ValueError(f"expected V=B for --preassign, got {item!r}") from None
     taken = None

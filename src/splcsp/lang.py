@@ -338,9 +338,9 @@ def parse_program(source: str) -> Stmt:
 # pretty-printer
 
 
-def pretty_print(tree: Stmt, indent: str = "  ") -> str:
+def pretty_print(tree: Stmt) -> str:
     """Render a tree in canonical form: one statement per line,
-    ``;`` at line ends, bodies indented one level.
+    ``;`` at line ends, bodies indented two spaces a level.
 
     Parsing the output yields a tree equal to the input (spans aside).
     """
@@ -350,7 +350,7 @@ def pretty_print(tree: Stmt, indent: str = "  ") -> str:
     stack: list[tuple[Stmt | str, int, str]] = [(tree, 0, "")]
     while stack:
         node, depth, end = stack.pop()
-        pad = indent * depth
+        pad = "  " * depth
         if isinstance(node, str):
             lines.append(pad + node + end)
         elif isinstance(node, Epsilon):

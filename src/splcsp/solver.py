@@ -10,15 +10,16 @@ pass over a decomposition: tables are indexed by the values of a
 subgraph's four special vertices, but only on the specials its edges
 touch, and each edge is charged once, by the first node that holds it.
 A node whose subgraph holds no break or continue costs O(d**3) and any
-node at most O(d**5), so the whole run is linear in |G| and the answer
-is exact.  The pass runs ready nodes of one kind and shape together,
-one stacked numpy call per step, so at small d its cost per node is a
-share of a call rather than a call.  A chain of k
-statements joined by ``;`` is regrouped as a balanced tree, so it takes
-about log2 k steps rather than k, and the minimizing assignment is read
-back by walking the recorded batches in reverse.  The assignment is an
-optimal one; which of several optimal assignments `solve` returns is
-not specified.
+node at most O(d**5); a loop, minimizing out its body's specials one at
+a time, forms nothing larger than d times its body's table, or d**3.
+The whole run is linear in |G| and the answer is exact.  The pass runs
+ready nodes of one kind and shape together, one stacked numpy call per
+step, so at small d its cost per node is a share of a call rather than
+a call.  A chain of k statements joined by ``;`` is regrouped as a
+balanced tree, so it takes about log2 k steps rather than k, and the
+minimizing assignment is read back by walking the recorded batches in
+reverse.  The assignment is an optimal one; which of several optimal
+assignments `solve` returns is not specified.
 `oracle_solve` does the same by exhaustive enumeration and exists to
 cross-check the solver on small instances: it adds the cost tables
 into a broadcast tensor with one axis per unpinned vertex, a block of
@@ -385,9 +386,12 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # charges it and the others' tables are zeroed; between the parallel
 # node and a holder the edge joins two specials, so no minimum sees it.
 #
-# A loop's minimization over its child's specials separates, because
-# the exit value meets only the child's B (through the break edge): S,
-# then (T, C), then B.
+# A loop's child specials each meet one edge outside the child (S the
+# entry, T and C the back edges, B the exit), so each is minimized out
+# on its own, S, T, C, then B, and no step forms more than d times the
+# child's table, or d**3.  T before C keeps the choices small: T's are
+# indexed by (S, B, C) and C's by (S, B), where C first would index
+# C's by (S, T, B), and a body touches T far more often than C.
 #
 # The pass runs in batches.  A node is ready once its inner children
 # are done; a leaf is never run on its own, since its table is its one
@@ -414,13 +418,13 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # in a left-deep chain.
 #
 # A batch's results stay stacked: tables[i] is a view into its batch's
-# array.  Each series or loop batch records its argmin array (a triple
-# at a loop) and its nodes, in the order the batches ran.  The
-# backtrack walks the records in reverse, so the specials of every node
-# are chosen before its record is read: a series node's choice is its
-# merge point, a loop's are its child's specials.  Choices use the
-# smallest unsigned dtype that holds their index range and are read
-# with index 0 on length-1 axes.
+# array.  Each series or loop batch records its argmin array (four at a
+# loop, one per child special) and its nodes, in the order the batches
+# ran.  The backtrack walks the records in reverse, so the specials of
+# every node are chosen before its record is read: a series node's
+# choice is its merge point, a loop's are its child's specials.
+# Choices use the smallest unsigned dtype that holds their index range
+# and are read with index 0 on length-1 axes.
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -450,12 +454,6 @@ def _sum_min(a: np.ndarray, b: np.ndarray, axis: int, dtype) -> tuple[np.ndarray
     return z.argmin(axis=1).astype(dtype), np.minimum.reduce(z, axis=1)
 
 
-# the fewest operands of a chain that `_execution_tree` regroups.  A
-# chain of k operands takes k - 1 steps one link at a time and about
-# log2 k + 1 as a balanced tree, so below 8 it saves at most four
-# steps, and small programs keep their decomposition as it is.
-_CHAIN = 8
-
 # the table axis of the target of a leaf's one edge, or a loop's S->T
 _HELD_AXIS = {"epsilon": 1, "break": 2, "continue": 3, "loop": 1}
 
@@ -466,7 +464,7 @@ def _widest(key: tuple, d: int) -> int:
     kind = key[0]
     if kind == "loop":
         _, t, b, c = key[1]
-        return d * d * b * max(t * c, d)
+        return d * d * max(t * b * c, d)
     if kind not in ("series", "parallel"):
         return d * d
     (_, lt, lb, lc), (_, rt, rb, rc) = key[1:3]
@@ -479,8 +477,8 @@ def _execution_tree(nodes) -> tuple[list, list]:
     """Each node's children and specials in the tree that the forward
     pass runs; a series node's merge point is its left child's T.
 
-    It is the decomposition, except that every chain of at least
-    `_CHAIN` operands, a series node and the series nodes down its left
+    It is the decomposition, except that every chain of three or more
+    operands, a series node and the series nodes down its left
     spine, as the parser builds ``a; b; c; ...``, is regrouped as a
     balanced tree over the same operands, left to right.  The new
     tree's nodes take the places of the chain's series nodes in
@@ -502,7 +500,7 @@ def _execution_tree(nodes) -> tuple[list, list]:
             i, right = kids[i]
             ops.append(right)
         ops.append(i)
-        if len(ops) >= _CHAIN:
+        if len(ops) > 2:
             # down the spine, the places come highest first
             place = iter(reversed(places)).__next__
             _, _, b, c = spec[top]
@@ -542,7 +540,6 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
     tables: list[np.ndarray | None] = [None] * len(nodes)
     steps: list[tuple] = []
     one = np.min_scalar_type(d - 1)
-    pair = np.min_scalar_type(d * d - 1)
 
     # a leaf's table holds its one edge, on its target's axis
     leaf_shapes = {"epsilon": (d, d, 1, 1), "break": (d, 1, d, 1), "continue": (d, 1, 1, d)}
@@ -612,30 +609,16 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
         v = vm.take(cs + ct + cc + cb, axis=0).reshape(4, n, d)
         enter += v[0, :, None, :]
         g[1:4] += v[1:, :, :, None]
-        # axes: the batch, the reduced value, then the rest; first the
-        # child's S (leaving T, C, the loop's S, B), then the child's
-        # (T, C) pair (leaving S, B), then its B (leaving S and the
-        # loop's T)
-        arg_s, x = _sum_min(
-            enter.transpose(0, 2, 1)[:, :, None, None, :, None],
-            child(batch, 0, key[1]).transpose(0, 1, 2, 4, 3)[:, :, :, :, None, :],
-            4,
-            one,
-        )
-        # both back edges are added into one new array: numpy buffers
-        # each broadcast operand, so a second temporary would cost as
-        # much again
-        b = x.shape[4]
-        x = np.add(x, back_t[:, :, None, :, None], out=np.empty((n, d, d, d, b)))
-        x += back_c[:, None, :, :, None]
-        x = x.reshape(n, d * d, d, b)
-        arg_tc = x.argmin(axis=1).astype(pair)
-        x = np.minimum.reduce(x, axis=1)
-        x = x.transpose(0, 2, 1)[:, :, :, None] + exit_b[:, :, None, :]
-        arg_b = x.argmin(axis=1).astype(one)
-        core = np.minimum.reduce(x, axis=1) + held(batch)
-        steps.append(((arg_s, arg_tc, arg_b), batch))
-        return core[:, :, :, None, None]
+        # axes: the batch, the reduced value, then the rest; the child's
+        # S goes (leaving the loop's S and the child's T, B, C), then
+        # T, C and B, leaving (S, B, C), (S, B) and the loop's (S, T)
+        x = child(batch, 0, key[1])[:, :, None]
+        arg_s, x = _sum_min(enter.transpose(0, 2, 1)[:, :, :, None, None, None], x, 2, one)
+        arg_t, x = _sum_min(x.transpose(0, 2, 1, 3, 4), back_t[:, :, :, None, None], 3, one)
+        arg_c, x = _sum_min(x.transpose(0, 3, 1, 2), back_c[:, :, :, None], 3, one)
+        arg_b, x = _sum_min(x.transpose(0, 2, 1)[:, :, :, None], exit_b[:, :, None, :], 2, one)
+        steps.append(((arg_s, arg_t, arg_c, arg_b), batch))
+        return (x + held(batch))[:, :, :, None, None]
 
     run = {"series": series, "parallel": parallel, "loop": loop}
     # class -> min-heap of its ready nodes, and the inner children each
@@ -702,7 +685,6 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
     a, b = instance.cfg, decomp.cfg
     if a is not b and (a.vertex_count != b.vertex_count or a.edge_map.keys() != b.edge_map.keys()):
         raise InstanceMismatchError("instance and decomposition use different graphs")
-    d = instance.d
     total, vm, steps, (kids, spec) = _forward(instance, decomp)
     specials = decomp.nodes[decomp.root].specials
     # a root special on a length-1 axis meets only its own cost: pick
@@ -731,13 +713,14 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
         value[v] = q
     for picks, batch in reversed(steps):
         if isinstance(picks, tuple):
-            arg_s, arg_tc, arg_b = picks
-            _, wide_t, wide_c, _, wide_b = (n > 1 for n in arg_s.shape)
+            arg_s, arg_t, arg_c, arg_b = picks
+            _, _, wide_t, wide_b, wide_c = (n > 1 for n in arg_s.shape)
             for j, i in enumerate(batch):
                 s, t = value[spec[i][0]], value[spec[i][1]]
                 cb = arg_b.item(j, s, t)
-                ct, cc = divmod(arg_tc.item(j, s, cb if wide_b else 0), d)
-                cs = arg_s.item(j, ct if wide_t else 0, cc if wide_c else 0, s, cb if wide_b else 0)
+                cc = arg_c.item(j, s, cb * wide_b)
+                ct = arg_t.item(j, s, cb * wide_b, cc * wide_c)
+                cs = arg_s.item(j, s, ct * wide_t, cb * wide_b, cc * wide_c)
                 for v, x in zip(spec[kids[i][0]], (cs, ct, cb, cc)):
                     value[v] = x
         else:
@@ -883,9 +866,9 @@ def _fields(items: list, names: tuple, what: str) -> list[list]:
 
 
 def _vertex_key(k) -> int:
-    """An ``allowed`` key, the decimal text of a vertex, as an int; text
-    that `int` would also read, such as " 3", "+2", "03" or "1_0", is
-    refused."""
+    """An ``allowed`` key, or a vertex on the command line: the decimal
+    text of a vertex, as an int.  Text that `int` would also read, such
+    as " 3", "+2", "03" or "1_0", is refused."""
     if not (type(k) is str and k.isascii() and k.isdigit() and str(int(k)) == k):
         raise ValueError(f"allowed key must be a vertex number, got {k!r}")
     return int(k)

@@ -38,8 +38,6 @@ LOOP_ENTER = "loop-enter"
 LOOP_EXIT = "loop-exit"
 LOOP_BACK = "loop-back"
 
-LABELS = frozenset([STMT, BREAK, CONTINUE, BRANCH, LOOP_ENTER, LOOP_EXIT, LOOP_BACK])
-
 
 class OpenProgramWarning(UserWarning):
     """Emitted when decomposing a program with top-level break/continue."""
@@ -77,18 +75,6 @@ class Cfg:
     @functools.cached_property
     def edge_map(self) -> dict[tuple[int, int], Edge]:
         return {(e.src, e.dst): e for e in self.edges}
-
-    def out_degree(self) -> list[int]:
-        deg = [0] * self.vertex_count
-        for e in self.edges:
-            deg[e.src] += 1
-        return deg
-
-    def in_degree(self) -> list[int]:
-        deg = [0] * self.vertex_count
-        for e in self.edges:
-            deg[e.dst] += 1
-        return deg
 
     def to_json(self) -> dict:
         roles: dict[int, list[str]] = {}
@@ -185,12 +171,12 @@ class Cfg:
             spans,
         )
 
-    def to_dot(self, name: str = "cfg") -> str:
+    def to_dot(self) -> str:
         shape_for = {}
         if self.specials is not None:
             s, t, b, c = self.specials
             shape_for = {s: "diamond", t: "doublecircle", b: "box", c: "trapezium"}
-        lines = [f"digraph {name} {{"]
+        lines = ["digraph cfg {"]
         for v in range(self.vertex_count):
             shape = shape_for.get(v)
             attrs = f' [shape={shape}]' if shape else ""

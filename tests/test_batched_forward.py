@@ -1,8 +1,8 @@
 """The forward pass runs ready nodes of one class together, in batches
-capped by `solver._BLOCK`, over a tree whose long `;` chains are
-regrouped as balanced trees; these tests pin its answers to the
-block-free ones and to the oracle, count its steps on a chain, and
-bound its memory."""
+capped by `solver._BLOCK`, over a tree whose `;` chains of three or
+more operands are regrouped as balanced trees; these tests pin its
+answers to the block-free ones and to the oracle, count its steps on a
+chain, and bound its memory."""
 
 import gc
 import math
@@ -141,7 +141,8 @@ def test_a_long_chain_runs_in_logarithmically_many_steps(monkeypatch):
     assert evaluate(inst, got.assignment) == got.min_cost
 
 
-# each has a chain of at least `solver._CHAIN` operands inside a loop
+# each has a chain of eight or more operands inside a loop, which the
+# forward pass regroups like any chain of three or more
 TIE_CHAINS = [
     "while p do a; b; c; d; if q then break else e fi; f; g; h od",
     "while p do a; b; c; if q then continue else d fi; e; f; g; break od; h; i",

@@ -396,6 +396,15 @@ def test_regalloc_lifetime_without_name(program, capsys):
         (["regalloc", "--registers", "1", "--lifetime", "x=0,a"], "expected V,V,... for --lifetime, got '0,a'"),
         (["bank", "--banks", "1", "--preassign", "1"], "expected V=B for --preassign, got '1'"),
         (["bank", "--banks", "1", "--preassign", "1=b"], "expected V=B for --preassign, got '1=b'"),
+        # `int` would read each of these as some vertex; the instance
+        # JSON's `allowed` keys refuse them, and so do the options
+        (["lospre", "--use", "1_0"], "expected V,V,... for --use, got '1_0'"),
+        (["lospre", "--use", "+2"], "expected V,V,... for --use, got '+2'"),
+        (["lospre", "--use", " 3"], "expected V,V,... for --use, got ' 3'"),
+        (["lospre", "--use", "1", "--invalidating", "02"], "expected V,V,... for --invalidating, got '02'"),
+        (["regalloc", "--registers", "1", "--lifetime", "x=0,+1"], "expected V,V,... for --lifetime, got '0,+1'"),
+        (["bank", "--banks", "1", "--preassign", "1_0=1"], "expected V=B for --preassign, got '1_0=1'"),
+        (["bank", "--banks", "1", "--taken", "0,1_0"], "expected SRC,DST for --taken, got '0,1_0'"),
     ],
 )
 def test_integer_options_name_the_option_they_refuse(program, capsys, argv, message):

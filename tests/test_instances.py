@@ -379,8 +379,7 @@ def test_enumerate_placements_order_and_injectivity():
 def test_regalloc_switch_costs():
     d = decompose_source(REGALLOC_PROGRAM)
     cfg = d.cfg
-    live = frozenset(v for v in range(cfg.vertex_count) if cfg.out_degree()[v]
-                     or cfg.in_degree()[v])
+    live = frozenset(v for e in cfg.edges for v in (e.src, e.dst))
     assert live == {0, 1, 4, 5, 6}
     spec = RegAllocSpec(lifetimes={"x": live, "y": live}, registers=2)
     inst = build_regalloc(cfg, spec)

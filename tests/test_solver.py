@@ -659,6 +659,25 @@ def test_widest_nodes_form_their_sum_in_blocks():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("src", ["while p do break od", "while p do if q then break else a fi od"])
+def test_loop_memory_follows_its_body_table(src):
+    # at d=32, the break body's table is d x 1 x d x 1, so the loop's
+    # sums have d**3 cells (256 KiB); the if body's has T too, and its
+    # d**4 sums are formed a few rows at a time.  Adding both back
+    # edges into one d**4 array, whatever the body touches, peaked at
+    # 16 MiB on each
+    d = decompose_source(src)
+    inst = gen.random_instance(d.cfg, 32, seed=3, inf_prob=0.0)
+    tracemalloc.start()
+    try:
+        got = solve(inst, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert evaluate(inst, got.assignment) == got.min_cost
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 @pytest.mark.parametrize("domain", [2, 3, 4])
 @pytest.mark.parametrize(
     "src",
@@ -666,6 +685,7 @@ def test_widest_nodes_form_their_sum_in_blocks():
         "while p do a; if q then break else continue fi; b od",
         "while p do while q do if r then break else a fi od; "
         "if s then continue else b fi od",
+        "while p do break od",
     ],
 )
 def test_one_row_blocks_give_the_same_solution(monkeypatch, src, domain):
