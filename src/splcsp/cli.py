@@ -112,8 +112,7 @@ def _solve(args, decomp, instance, decode=None, **fields) -> int:
     solution as `_emit` does."""
     sol = solver.solve(instance, decomp)
     if args.oracle_check:
-        budget = args.budget or solver.DEFAULT_ORACLE_BUDGET
-        check = solver.oracle_solve(instance, budget=budget)
+        check = solver.oracle_solve(instance, budget=args.budget)
         if check.min_cost != sol.min_cost:
             print(
                 f"oracle mismatch: solve={sol.min_cost} oracle={check.min_cost}",
@@ -158,7 +157,7 @@ def _cmd_bank(args) -> int:
     for item in args.preassign or []:
         v, _, b = item.partition("=")
         try:
-            preassigned[solver._vertex_key(v)] = int(b)
+            preassigned[solver._vertex_key(v)] = solver._vertex_key(b)
         except ValueError:
             raise ValueError(f"expected V=B for --preassign, got {item!r}") from None
     taken = None
@@ -224,8 +223,7 @@ def _cmd_regalloc(args) -> int:
 def _cmd_coloring(args) -> int:
     graph = spl.Cfg.from_json(json.loads(_read_text(args.graph)))
     instance = instances.build_graph_coloring(graph, args.colors)
-    budget = args.budget or solver.DEFAULT_ORACLE_BUDGET
-    sol = solver.oracle_solve(instance, budget=budget)
+    sol = solver.oracle_solve(instance, budget=args.budget)
     return _emit(args, sol, colors=args.colors, conflicts=sol.to_json()["min_cost"])
 
 
@@ -244,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     # options of the commands that write a solution, and of those that
     # also solve and can check the answer against the oracle
     written = argparse.ArgumentParser(add_help=False)
-    written.add_argument("--budget", type=int, default=None, help="oracle enumeration budget")
+    written.add_argument(
+        "--budget", type=int, default=solver.DEFAULT_ORACLE_BUDGET, help="oracle enumeration budget (default 2**24)"
+    )
     written.add_argument("--out", help="write the solution JSON here instead of stdout")
     solved = argparse.ArgumentParser(add_help=False, parents=[written])
     solved.add_argument("--oracle-check", action="store_true")

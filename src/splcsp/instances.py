@@ -204,6 +204,9 @@ def lospre_objective(cfg: Cfg, spec: LospreSpec, members: set[int]) -> int:
 
 SPILLED = None  # location of a variable kept in memory
 
+# the most placements `build_regalloc` takes as its domain
+DOMAIN_BUDGET = 4096
+
 
 @dataclass(frozen=True)
 class RegAllocSpec:
@@ -219,7 +222,6 @@ class RegAllocSpec:
     lifetimes: Mapping[str, frozenset[int]]
     registers: int
     switch_cost: int = 1
-    domain_budget: int = 4096
 
 
 def count_placements(variables: int, registers: int) -> int:
@@ -291,10 +293,8 @@ def build_regalloc(cfg: Cfg, spec: RegAllocSpec) -> PcspInstance:
             )
     variables = tuple(sorted(spec.lifetimes))
     d = count_placements(len(variables), spec.registers)
-    if d > spec.domain_budget:
-        raise DomainTooLargeError(
-            f"{d} placements exceed the domain budget {spec.domain_budget}"
-        )
+    if d > DOMAIN_BUDGET:
+        raise DomainTooLargeError(f"{d} placements exceed the domain budget {DOMAIN_BUDGET}")
     domain = enumerate_placements(variables, spec.registers)
     assert len(domain) == d
 

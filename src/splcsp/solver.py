@@ -27,11 +27,11 @@ at most `_CHUNK` assignments at a time.
 
 An instance holds tables only, in one store: a read-only (k, d, d)
 stack of the distinct edge tables and a map from edge key to row, so
-edges given one table object share a row.  The whole stack is checked
-at once.  The problem builders emit shared tables directly,
-`instance_from_json` hands its checked lists over in one piece, and a
-callable cost is an adapter that `PcspInstance` tabulates first and
-then checks like any table.
+edges given one table object share a row.  Edge and vertex costs
+each pass one conversion that checks the whole array at once.  The
+problem builders emit shared tables directly, `instance_from_json`
+hands its checked lists over as a mapping from edge key to table, and
+a callable cost is tabulated first, then checked like any table.
 """
 
 from __future__ import annotations
@@ -143,6 +143,26 @@ def _check_shapes(items, shape: tuple, message: Callable[[int], str]) -> None:
             raise ValueError(message(i))
 
 
+def _cost_array(items, shape: tuple, bad_item: Callable[[int], str], bad_whole: str) -> np.ndarray:
+    """``items``, a list of tables or an array of them, as a new float64
+    array of ``shape``; an empty list is taken when ``shape`` has no
+    rows.  Otherwise a ValueError names the first item whose shape is
+    not ``shape[1:]``, by ``bad_item(i)``, or the whole, by
+    ``bad_whole``."""
+    try:
+        arr = _floats(items)
+    except ValueError:
+        _check_shapes(items, shape[1:], bad_item)
+        raise
+    if arr.shape == (0,) and not shape[0]:
+        return np.zeros(shape)
+    if arr.shape != shape:
+        if arr.ndim:
+            _check_shapes(items, shape[1:], bad_item)
+        raise ValueError(bad_whole)
+    return arr
+
+
 def _highs(arr: np.ndarray, what: Callable[[int], str]) -> list[int]:
     """The largest finite cost of each ``arr[i]``, as exact ints, after
     checking the array about ``_BLOCK`` elements at a time, so the
@@ -200,7 +220,7 @@ class PcspInstance:
             edge_costs = [[[f(e, a, b) for b in range(d)] for a in range(d)] for e in cfg.edges]
         if callable(vertex_costs):
             f = vertex_costs
-            vertex_costs = _floats([[f(v, a) for a in range(d)] for v in range(n)]).reshape(n, d)
+            vertex_costs = [[f(v, a) for a in range(d)] for v in range(n)]
 
         if edge_costs is None:
             edge_costs = {}
@@ -223,29 +243,21 @@ class PcspInstance:
                 if r == len(given):
                     given.append(tab)
                 rows.append(r)
-            shape = (len(given), d, d)
+            count = len(given)
         else:
             given = edge_costs
             rows = range(len(keys))
-            shape = (len(keys), d, d)
+            count = len(keys)
 
         def key(r: int) -> tuple[int, int]:
             return keys[rows.index(r)]
 
-        def bad_table(r: int) -> str:
-            return f"edge table {key(r)} must be {d}x{d}"
-
-        try:
-            stack = _floats(given)
-        except ValueError:
-            _check_shapes(given, (d, d), bad_table)
-            raise
-        if stack.size == 0 == shape[0]:
-            stack = np.zeros(shape)
-        elif stack.shape != shape:
-            if stack.ndim:
-                _check_shapes(given, (d, d), bad_table)
-            raise ValueError(f"edge costs must be {len(keys)}x{d}x{d}")
+        stack = _cost_array(
+            given,
+            (count, d, d),
+            lambda r: f"edge table {key(r)} must be {d}x{d}",
+            f"edge costs must be {len(keys)}x{d}x{d}",
+        )
         # the largest finite cost of every edge and vertex, added up
         uses = np.bincount(np.asarray(rows, dtype=np.intp), minlength=len(stack))
         worst = sum(map(operator.mul, _highs(stack, lambda r: f"edge {key(r)}"), uses.tolist()))
@@ -253,28 +265,20 @@ class PcspInstance:
         self.edge_stack = stack
         self.edge_rows = dict(zip(keys, rows))
 
-        if isinstance(vertex_costs, Mapping):
+        if vertex_costs is None:
+            vertex_costs = np.zeros((n, d))
+        elif isinstance(vertex_costs, Mapping):
             unknown = [v for v in vertex_costs if not 0 <= v < n]
             if unknown:
                 raise InstanceMismatchError(f"vertex cost for unknown vertex {unknown[0]}")
             zero_row = [0] * d
             vertex_costs = [vertex_costs.get(v, zero_row) for v in range(n)]
-
-        def bad_row(v: int) -> str:
-            return f"vertex {v} costs must be length {d}"
-
-        if vertex_costs is None:
-            vt = np.zeros((n, d))
-        else:
-            try:
-                vt = _floats(vertex_costs)
-            except ValueError:
-                _check_shapes(vertex_costs, (d,), bad_row)
-                raise
-            if vt.shape != (n, d):
-                if vt.ndim:
-                    _check_shapes(vertex_costs, (d,), bad_row)
-                raise ValueError(f"vertex costs must be {n}x{d}")
+        vt = _cost_array(
+            vertex_costs,
+            (n, d),
+            lambda v: f"vertex {v} costs must be length {d}",
+            f"vertex costs must be {n}x{d}",
+        )
         worst += sum(_highs(vt, lambda v: f"vertex {v} costs"))
         if worst > _COST_LIMIT:
             raise CostOverflowError(
@@ -309,10 +313,6 @@ class PcspInstance:
         ``edge_stack``; keys that share a row share one view."""
         views = list(self.edge_stack)
         return {k: views[r] for k, r in self.edge_rows.items()}
-
-    @property
-    def vertex_count(self) -> int:
-        return self.cfg.vertex_count
 
 
 @dataclass(frozen=True)
@@ -381,10 +381,10 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # or a loop's child, whose T, B and C are all touched).
 #
 # A parallel node merges its operands' specials, so an S->T, S->B or
-# S->C edge in both (its `duplicates`) is one CFG edge.  The first of
-# its holders in node order, leaves or loops (by their own S->T),
-# charges it and the others' tables are zeroed; between the parallel
-# node and a holder the edge joins two specials, so no minimum sees it.
+# S->C edge in both is one CFG edge.  The first of its holders in node
+# order, leaves or loops (by their own S->T), charges it and the
+# others' tables are zeroed; between the parallel node and a holder the
+# edge joins two specials, so no minimum sees it.
 #
 # A loop's child specials each meet one edge outside the child (S the
 # entry, T and C the back edges, B the exit), so each is minimized out
@@ -627,9 +627,11 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
     ready: dict[tuple, list[int]] = {}
     waiting = bytearray(len(nodes))
     parent = [-1] * len(nodes)
-    # the row of each leaf's or loop's held edge; each duplicate's holders
+    # the row of each leaf's or loop's held edge; the first holder of an
+    # edge in node order charges it, and later ones are zeroed
     held_rows = [0] * len(nodes)
-    holders: dict[tuple, list[int]] = {e: [] for node in nodes for e in node.duplicates}
+    charged: set[tuple] = set()
+    zeroed: set[int] = set()
     for i, children in enumerate(kids):
         kind = nodes[i].kind
         if kind not in (run if children else leaf_shapes):
@@ -637,8 +639,9 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
         if kind in _HELD_AXIS:
             edge = spec[i][0], spec[i][_HELD_AXIS[kind]]
             held_rows[i] = rows[edge]
-            if edge in holders:
-                holders[edge].append(i)
+            if edge in charged:
+                zeroed.add(i)
+            charged.add(edge)
         if not children:
             continue
         for c in children:
@@ -647,7 +650,8 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
                 waiting[i] += 1
         if not waiting[i]:
             heappush(ready.setdefault(class_of(i), []), i)
-    zeroed = {i for hs in holders.values() for i in hs[1:]}
+    # a tuple per held edge: freed before any table is formed
+    del charged
     root = decomp.root
     if not kids[root]:
         ready[class_of(root)] = [root]
@@ -930,16 +934,16 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
     """Build an instance from its JSON form (see README for models).
 
     Explicit tables have their cells checked in a few passes over the
-    parsed lists and are handed on in ``cfg.edges`` order, so
-    `PcspInstance` converts them in one `np.array` call; the last table
-    given for an edge wins, and edges left out cost nothing."""
+    parsed lists and are handed on as a mapping from edge key to table,
+    which `PcspInstance` converts in one `np.array` call; the last table
+    given for an edge wins, and edges left out share one zero row."""
     if not isinstance(obj, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(obj).__name__}")
     if "domain_size" not in obj:
         raise ValueError("an instance needs domain_size")
     (d,) = _json_ints([obj["domain_size"]], "domain_size")
     ec = obj.get("edge_costs")
-    edge_costs: Mapping | list | np.ndarray | None
+    edge_costs: Mapping | np.ndarray | None
     if ec is None:
         edge_costs = None
     elif isinstance(ec, dict):
@@ -959,14 +963,7 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
             # a table that is no d x d table at all says so first
             _check_shapes(tables, (d, d), lambda i: f"edge table {keys[i]} must be {d}x{d}")
             raise
-        by_key = dict(zip(keys, tables))
-        extra = by_key.keys() - cfg.edge_map.keys()
-        if extra:
-            raise InstanceMismatchError(
-                f"edge costs given for non-edges: {sorted(extra)[:4]}"
-            )
-        zero = [[0] * d] * d
-        edge_costs = [by_key.get((e.src, e.dst), zero) for e in cfg.edges]
+        edge_costs = dict(zip(keys, tables))
     vc = obj.get("vertex_costs")
     vertex_costs: list | dict | np.ndarray | None = vc
     if isinstance(vc, dict):

@@ -405,6 +405,9 @@ def test_regalloc_lifetime_without_name(program, capsys):
         (["regalloc", "--registers", "1", "--lifetime", "x=0,+1"], "expected V,V,... for --lifetime, got '0,+1'"),
         (["bank", "--banks", "1", "--preassign", "1_0=1"], "expected V=B for --preassign, got '1_0=1'"),
         (["bank", "--banks", "1", "--taken", "0,1_0"], "expected SRC,DST for --taken, got '0,1_0'"),
+        # a bank is read by the rule of its vertex
+        (["bank", "--banks", "12", "--preassign", "1=1_0"], "expected V=B for --preassign, got '1=1_0'"),
+        (["bank", "--banks", "12", "--preassign", "1= +1"], "expected V=B for --preassign, got '1= +1'"),
     ],
 )
 def test_integer_options_name_the_option_they_refuse(program, capsys, argv, message):
@@ -469,6 +472,19 @@ def test_solve_commands_share_oracle_check_budget_and_out(command, program, caps
     assert (rc, out) == (3, "")
     assert "oracle mismatch" in err
     assert not mismatch_path.exists()
+
+
+@pytest.mark.parametrize("command", ["coloring", "solve"])
+def test_budget_zero_allows_no_assignment(command, program, capsys, tmp_path):
+    if command == "coloring":
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"vertex_count": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 1]]}))
+        argv = [str(graph), "--colors", "2"]
+    else:
+        argv = solve_command_argv(command, program, tmp_path) + ["--oracle-check"]
+    rc, out, err = run(capsys, command, *argv, "--budget", "0")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(" exceed the oracle budget 0\n")
 
 
 def test_coloring_takes_budget_and_out(capsys, tmp_path):

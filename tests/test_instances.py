@@ -475,7 +475,6 @@ def test_regalloc_errors():
             RegAllocSpec(
                 lifetimes={c: frozenset({0}) for c in "abcdefgh"},
                 registers=8,
-                domain_budget=100,
             ),
         )
 

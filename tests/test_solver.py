@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -500,8 +501,10 @@ def test_solve_matches_oracle(seed, size, domain):
 
 
 def test_loop_witness_survives_packed_index_above_255():
-    # the loop backtrack packs the child's (T, C) values into one index
-    # below d*d; at d=17 with T and C in {15, 16} it exceeds 255
+    # at d=17, with the loop child's T and C both in {15, 16}, the
+    # backtrack reads each from its own argmin array and the witness
+    # attains the oracle's minimum (the name is from an older packed
+    # (T, C) index, which passed 255 here)
     d = decompose_source("while p do a od")
     loop = next(node for node in d.nodes if node.kind == "loop")
     _, ct, _, cc = d.nodes[loop.children[0]].specials
@@ -696,6 +699,30 @@ def test_one_row_blocks_give_the_same_solution(monkeypatch, src, domain):
     blocked = solve(inst, d)
     assert blocked == whole
     assert blocked.min_cost == oracle_solve(inst).min_cost
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "src",
+    [
+        "while p do if q then break else break fi od",
+        "if p then while q do a od else skip fi",
+        "while p do if q then continue else if r then continue else continue fi fi od",
+        "while p do a; if q then break else break fi; b od; c",
+        "while p do while q do if r then continue else continue fi od; "
+        "if s then break else break fi od",
+    ],
+)
+def test_solve_does_not_read_duplicates(src, seed):
+    # the first leaf or loop in node order that holds an edge pays for
+    # it, so the parallel nodes' record of collapsed edges is not needed
+    d = decompose_source(src)
+    assert any(node.duplicates for node in d.nodes)
+    bare = dataclasses.replace(d, nodes=tuple(dataclasses.replace(node, duplicates=()) for node in d.nodes))
+    inst = gen.random_instance(d.cfg, 3, seed=seed, inf_prob=0.1, restrict_prob=0.2)
+    got = solve(inst, bare)
+    assert got == solve(inst, d)
+    assert got.min_cost == oracle_solve(inst).min_cost
 
 
 def test_straight_line_at_large_domain_matches_viterbi():
@@ -1086,6 +1113,14 @@ def test_shared_tables_share_one_row():
     assert inst.edge_rows == {keys[0]: 0, **{k: 1 for k in keys[1:]}}
     assert inst.edge_tables[keys[0]].tolist() == [[0, 0], [0, 0]]
     assert PcspInstance(d.cfg, 2).edge_stack.shape == (1, 2, 2)
+    # JSON tables are distinct lists; the edges a JSON instance leaves
+    # out share one zero row, as in the mapping form
+    listed = keys[1::2]
+    obj = {"domain_size": 2, "edge_costs": [{"src": s, "dst": t, "table": shared} for s, t in listed]}
+    inst = instance_from_json(d.cfg, json.loads(json.dumps(obj)))
+    assert inst.edge_stack.shape == (1 + len(listed), 2, 2)
+    assert {inst.edge_rows[k] for k in keys[::2]} == {0}
+    assert inst.edge_tables[keys[0]].tolist() == [[0, 0], [0, 0]]
 
 
 def test_malformed_tables_name_their_edge():
@@ -1313,6 +1348,24 @@ def test_wrong_vertex_count_is_refused_as_a_whole():
         PcspInstance(d.cfg, 2, vertex_costs=[[0, 0]] * 4)
     with pytest.raises(ValueError, match=r"^vertex costs must be 5x2$"):
         PcspInstance(d.cfg, 2, vertex_costs=5)
+
+
+@pytest.mark.parametrize("source", ["list", "callable", "json"])
+def test_no_vertex_costs_fit_a_graph_without_vertices(source):
+    cfg = Cfg.from_json({"vertex_count": 0})
+    if source == "json":
+        inst = instance_from_json(cfg, {"domain_size": 2, "vertex_costs": []})
+    else:
+        inst = PcspInstance(cfg, 2, None, [] if source == "list" else lambda v, a: 0)
+    assert inst.vertex_costs.shape == (0, 2)
+
+
+def test_a_vertex_row_on_a_graph_without_vertices_names_vertex_0():
+    cfg = Cfg.from_json({"vertex_count": 0})
+    with pytest.raises(ValueError, match=r"^vertex 0 costs must be length 2$"):
+        PcspInstance(cfg, 2, None, [[]])
+    with pytest.raises(ValueError, match=r"^vertex 0 costs must be length 2$"):
+        instance_from_json(cfg, {"domain_size": 2, "vertex_costs": [[]]})
 
 
 @pytest.mark.parametrize(
