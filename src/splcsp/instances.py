@@ -307,13 +307,16 @@ def build_regalloc(cfg: Cfg, spec: RegAllocSpec) -> PcspInstance:
             )
             switch[i, j] = spec.switch_cost * moved
 
-    live: list[frozenset[str]] = []
-    for v in range(cfg.vertex_count):
-        live.append(frozenset(var for var, vs in spec.lifetimes.items() if v in vs))
+    # a vertex allows the placements whose support is its live set; each
+    # distinct live set is matched once, and its vertices share one tuple
     support = [frozenset(f) for f in as_dicts]
+    placements: dict[frozenset[str], tuple[int, ...]] = {}
     allowed = {}
     for v in range(cfg.vertex_count):
-        allowed[v] = tuple(i for i in range(d) if support[i] == live[v])
+        live = frozenset(var for var, vs in spec.lifetimes.items() if v in vs)
+        if live not in placements:
+            placements[live] = tuple(i for i in range(d) if support[i] == live)
+        allowed[v] = placements[live]
 
     edge_costs = {(e.src, e.dst): switch for e in cfg.edges}
     return PcspInstance(cfg, d, edge_costs, None, allowed)

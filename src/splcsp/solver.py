@@ -9,14 +9,16 @@ vertex.  Costs are non-negative integers extended with ``INFINITY``
 pass over a decomposition: tables are indexed by the values of a
 subgraph's four special vertices, but only on the specials its edges
 touch, and each edge is charged once, by the first node that holds it.
-A node whose subgraph holds no break or continue costs O(d**3) and any
-node at most O(d**5); a loop, minimizing out its body's specials one at
-a time, forms nothing larger than d times its body's table, or d**3.
-The whole run is linear in |G| and the answer is exact.  The pass runs
-ready nodes of one kind and shape together, one stacked numpy call per
-step, so at small d its cost per node is a share of a call rather than
-a call.  A chain of k statements joined by ``;`` is regrouped as a
-balanced tree, so it takes about log2 k steps rather than k, and the
+An axis has length k, the size of the largest allowed set, and holds
+only its vertex's allowed values when k < d.  A node whose subgraph
+holds no break or continue costs O(k**3) and any node at most O(k**5);
+a loop, minimizing out its body's specials one at a time, forms nothing
+larger than k times its body's table, or k**3.  The whole run is linear
+in |G| and the answer is exact.  The pass runs ready nodes of one kind
+and shape together, one stacked numpy call per step, so at small d its
+cost per node is a share of a call rather than a call.  A chain of m
+statements joined by ``;`` is regrouped as a balanced tree, so it takes
+about log2 m steps rather than m, and the
 minimizing assignment is read back by walking the recorded batches in
 reverse.  The assignment is an optimal one; which of several optimal
 assignments `solve` returns is not specified.
@@ -25,7 +27,7 @@ cross-check the solver on small instances: it adds the cost tables
 into a broadcast tensor with one axis per unpinned vertex, a block of
 at most `_CHUNK` assignments at a time.
 
-An instance holds tables only, in one store: a read-only (k, d, d)
+An instance holds tables only, in one store: a read-only (r, d, d)
 stack of the distinct edge tables and a map from edge key to row, so
 edges given one table object share a row.  Edge and vertex costs
 each pass one conversion that checks the whole array at once.  The
@@ -58,8 +60,8 @@ _CHUNK = 1 << 16
 
 # elements of a batch's largest intermediate: the forward pass runs
 # ready nodes of one class together up to this many, and a single node
-# whose d**5 sum is larger forms it a few rows at a time, so its memory
-# stays near d**4 whatever the program's shape
+# whose k**5 sum is larger forms it a few rows at a time, so its memory
+# stays near k**4 whatever the program's shape
 _BLOCK = 1 << 12
 
 # float64 holds every integer up to 2**53 exactly, and every sum the DP
@@ -188,13 +190,13 @@ class PcspInstance:
     mapping from vertex to a length-d vector, None, or a callable
     ``f(v, a)`` that is tabulated first.  ``allowed`` maps vertices to
     non-empty subsets of the domain; unlisted vertices allow everything.
-    The sets are kept once, as ``allowed``, one sorted tuple per vertex.
+    ``allowed`` holds a sorted tuple per vertex, one per distinct set.
 
     The edge costs are stored once: ``edge_stack`` is a read-only
-    (k, d, d) array of distinct tables, and ``edge_rows`` maps every
+    (r, d, d) array of distinct tables, and ``edge_rows`` maps every
     edge key, in ``cfg.edges`` order, to its row.  Edges given one
     table object share a row, so builders that reuse a few tables keep
-    k small; the array form gives every edge its own row.
+    r small; the array form gives every edge its own row.
     ``edge_tables`` maps each key to a read-only view of its row.
     """
 
@@ -252,11 +254,12 @@ class PcspInstance:
         def key(r: int) -> tuple[int, int]:
             return keys[rows.index(r)]
 
+        whole = f"edge costs must be {len(keys)}x{d}x{d}"  # also for tables past the last edge
         stack = _cost_array(
             given,
             (count, d, d),
-            lambda r: f"edge table {key(r)} must be {d}x{d}",
-            f"edge costs must be {len(keys)}x{d}x{d}",
+            lambda r: f"edge table {key(r)} must be {d}x{d}" if r < count else whole,
+            whole,
         )
         # the largest finite cost of every edge and vertex, added up
         uses = np.bincount(np.asarray(rows, dtype=np.intp), minlength=len(stack))
@@ -297,14 +300,15 @@ class PcspInstance:
             )
         # only restricted vertices are visited; `operator.index` takes
         # ints, numpy's too, and refuses 0.7 rather than truncate it
-        sets = [tuple(range(d))] * n
+        full = tuple(range(d))
+        sets, shared = [full] * n, {full: full}
         for v in sorted(map(int, allowed)):
-            vals = sorted(set(map(operator.index, allowed[v])))
+            vals = tuple(sorted(set(map(operator.index, allowed[v]))))
             if not vals:
                 raise ValueError(f"allowed set for vertex {v} is empty")
             if vals[0] < 0 or vals[-1] >= d:
                 raise ValueError(f"allowed set for vertex {v} leaves the domain")
-            sets[v] = tuple(vals)
+            sets[v] = shared.setdefault(vals, vals)
         self.allowed = tuple(sets)
 
     @functools.cached_property
@@ -362,14 +366,18 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 #
 # dp[i] is indexed by the values of node i's specials (S, T, B, C) and
 # holds the minimum cost of the node's edges plus the vertex costs of
-# its internal (non-special) vertices.  A vertex's cost and its allowed
-# set, a {0, INFINITY} mask, are charged together where the vertex
-# stops being special: at the series merge point, at a loop's child
-# specials (folded into the edge table each one meets, whatever the
-# length of its axis), and for the root's own specials in the final
-# minimum (choosing a length-1 axis's value on its own, since it meets
-# nothing else).  So a table's entries at a disallowed special value
-# may be finite; the backtrack never reads them.
+# its internal (non-special) vertices.  Every axis has length k, the
+# size of the largest allowed set: when k < d, `_narrowed` lays each
+# vertex's allowed values along its axis, increasing and padded with
+# the last, and the backtrack maps position j back to the j-th value.
+# A vertex's cost and its allowed set, a {0, INFINITY} mask that also
+# covers the padding, are charged together where the vertex stops
+# being special: at the series merge point, at a loop's child specials
+# (folded into the edge table each one meets, whatever the length of
+# its axis), and for the root's own specials in the final minimum
+# (choosing a length-1 axis's value on its own, since it meets nothing
+# else).  So a table's entries at a disallowed special value may be
+# finite; the backtrack never reads them.
 #
 # An axis whose special no edge of the node's subgraph touches has
 # length 1, since the table cannot depend on it; numpy broadcasting
@@ -377,7 +385,7 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # a leaf touches S and its one target, a loop S and T (its B and C are
 # fresh), and series and parallel nodes get the broadcast union of
 # their children's shapes.  So a node whose subgraph holds no break or
-# continue edge costs d**3, and d**5 is the worst case (a series node,
+# continue edge costs k**3, and k**5 is the worst case (a series node,
 # or a loop's child, whose T, B and C are all touched).
 #
 # A parallel node merges its operands' specials, so an S->T, S->B or
@@ -388,8 +396,8 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 #
 # A loop's child specials each meet one edge outside the child (S the
 # entry, T and C the back edges, B the exit), so each is minimized out
-# on its own, S, T, C, then B, and no step forms more than d times the
-# child's table, or d**3.  T before C keeps the choices small: T's are
+# on its own, S, T, C, then B, and no step forms more than k times the
+# child's table, or k**3.  T before C keeps the choices small: T's are
 # indexed by (S, B, C) and C's by (S, B), where C first would index
 # C's by (S, T, B), and a body touches T far more often than C.
 #
@@ -397,7 +405,7 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # are done; a leaf is never run on its own, since its table is its one
 # edge's row of the edge stack, which its parent gathers in its own
 # batch.  A ready node's class is its kind and its children's table
-# shapes, which the decomposition fixes for a given d; the nodes of one
+# shapes, which the decomposition fixes for a given k; the nodes of one
 # class stack into one array per operand, so each numpy call serves
 # the whole batch, with the batch on axis 0 and the reduced value on
 # axis 1.  Each step takes the class of the lowest ready node
@@ -458,19 +466,19 @@ def _sum_min(a: np.ndarray, b: np.ndarray, axis: int, dtype) -> tuple[np.ndarray
 _HELD_AXIS = {"epsilon": 1, "break": 2, "continue": 3, "loop": 1}
 
 
-def _widest(key: tuple, d: int) -> int:
+def _widest(key: tuple, k: int) -> int:
     """Elements of the largest intermediate that one node of class
-    ``key`` forms."""
+    ``key`` forms, on axes of length ``k``."""
     kind = key[0]
     if kind == "loop":
         _, t, b, c = key[1]
-        return d * d * max(t * b * c, d)
+        return k * k * max(t * b * c, k)
     if kind not in ("series", "parallel"):
-        return d * d
+        return k * k
     (_, lt, lb, lc), (_, rt, rb, rc) = key[1:3]
     if kind == "series":
-        return d * d * rt * max(lb, rb) * max(lc, rc)
-    return d * max(lt, rt) * max(lb, rb) * max(lc, rc)
+        return k * k * rt * max(lb, rb) * max(lc, rc)
+    return k * max(lt, rt) * max(lb, rb) * max(lc, rc)
 
 
 def _execution_tree(nodes) -> tuple[list, list]:
@@ -527,22 +535,39 @@ def _execution_tree(nodes) -> tuple[list, list]:
     return kids, spec
 
 
+def _narrowed(instance: PcspInstance) -> tuple[np.ndarray, np.ndarray, Mapping, int]:
+    """Each vertex's cost and mask as one (n, k) array, and the edge
+    stack and row map on the same axes (see the DP notes above)."""
+    allowed, k = instance.allowed, max(map(len, instance.allowed), default=instance.d)
+    if k == instance.d:
+        return _masked(np.array(instance.vertex_costs), allowed), instance.edge_stack, instance.edge_rows, k
+    # a padded axis per distinct set, a stack row per distinct (row, source set, target set)
+    ids: dict[tuple, int] = {}
+    sid = [ids.setdefault(vals, len(ids)) for vals in allowed]
+    at = np.array([vals + vals[-1:] * (k - len(vals)) for vals in ids])
+    vm = np.take_along_axis(instance.vertex_costs, at[sid], 1)
+    vm[(np.arange(k) >= np.array(list(map(len, ids)))[:, None])[sid]] = INFINITY
+    narrow: dict[tuple, int] = {}
+    rows = [narrow.setdefault((r, sid[u], sid[w]), len(narrow)) for (u, w), r in instance.edge_rows.items()]
+    r, su, sw = np.array(list(narrow), dtype=np.intp).reshape(-1, 3).T
+    stack = instance.edge_stack[r[:, None, None], at[su][:, :, None], at[sw][:, None, :]]
+    return vm, stack, dict(zip(instance.edge_rows, rows)), k
+
+
 def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray, np.ndarray, list, tuple]:
-    """The root's table, each vertex's cost and mask as one (n, d)
+    """The root's table, each vertex's cost and mask as one (n, k)
     array, the choices and nodes of every series or loop batch in the
     order the batches ran, and the execution tree they index."""
-    d = instance.d
     # a vertex's cost and mask, charged together
-    vm = _masked(np.array(instance.vertex_costs), instance.allowed)
-    stack, rows = instance.edge_stack, instance.edge_rows
+    vm, stack, rows, k = _narrowed(instance)
     nodes = decomp.nodes
     kids, spec = _execution_tree(nodes)
     tables: list[np.ndarray | None] = [None] * len(nodes)
     steps: list[tuple] = []
-    one = np.min_scalar_type(d - 1)
+    one = np.min_scalar_type(k - 1)
 
     # a leaf's table holds its one edge, on its target's axis
-    leaf_shapes = {"epsilon": (d, d, 1, 1), "break": (d, 1, d, 1), "continue": (d, 1, 1, d)}
+    leaf_shapes = {"epsilon": (k, k, 1, 1), "break": (k, 1, k, 1), "continue": (k, 1, 1, k)}
 
     def class_of(i: int) -> tuple:
         """The batch class of a node whose inner children are done: its
@@ -553,17 +578,17 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
         return tuple(key)
 
     def held(idx):
-        """The stacked (d, d) tables of the edges that leaves or loops
+        """The stacked (k, k) tables of the edges that leaves or loops
         ``idx`` hold, zero where an earlier holder charges the edge."""
         tab = stack.take([held_rows[i] for i in idx], axis=0)
         if not zeroed.isdisjoint(idx):
             tab[[j for j, i in enumerate(idx) if i in zeroed]] = 0.0
         return tab
 
-    def child(batch, k, shape):
-        """The stacked tables of the batch's k-th children; leaves are
-        formed here, when they are needed."""
-        idx = [kids[i][k] for i in batch]
+    def child(batch, side, shape):
+        """The stacked tables of the batch's children on ``side``, 0 or
+        1; leaves are formed here, when they are needed."""
+        idx = [kids[i][side] for i in batch]
         leaf = [i for i in idx if not kids[i]]
         if not leaf:
             return _stack([tables[i] for i in idx])
@@ -599,14 +624,14 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
         n = len(batch)
         S, T = map(list, zip(*(spec[i][:2] for i in batch)))
         cs, ct, cb, cc = map(list, zip(*(spec[kids[i][0]] for i in batch)))
-        # the edges, each (n, d, d): enter S->cs, back ct->S and cc->S
+        # the edges, each (n, k, k): enter S->cs, back ct->S and cc->S
         # and exit cb->T; the loop's own S->T is held.  Each child
         # special's vertex cost and mask ride on the edge table it
         # meets, whatever the length of its axis in the child's table.
         keys = [*zip(S, cs), *zip(ct, S), *zip(cc, S), *zip(cb, T)]
-        g = stack.take(list(map(rows.__getitem__, keys)), axis=0).reshape(4, n, d, d)
+        g = stack.take(list(map(rows.__getitem__, keys)), axis=0).reshape(4, n, k, k)
         enter, back_t, back_c, exit_b = g
-        v = vm.take(cs + ct + cc + cb, axis=0).reshape(4, n, d)
+        v = vm.take(cs + ct + cc + cb, axis=0).reshape(4, n, k)
         enter += v[0, :, None, :]
         g[1:4] += v[1:, :, :, None]
         # axes: the batch, the reduced value, then the rest; the child's
@@ -661,7 +686,7 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
     while ready:
         key, heap = min(ready.items(), key=lowest)
         if key not in caps:
-            caps[key] = max(1, _BLOCK // _widest(key, d))
+            caps[key] = max(1, _BLOCK // _widest(key, k))
         if len(heap) <= caps[key]:
             batch = heap
             del ready[key]
@@ -734,6 +759,8 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
                 value[m] = picks.item(j, *[value[v] if w else 0 for v, w in zip(spec[i], wide)])
     if -1 in value:
         raise AssertionError("reconstruction did not assign every vertex")
+    if vm.shape[1] < instance.d:  # narrowed: position j is the j-th allowed value
+        value = list(map(operator.getitem, instance.allowed, value))
     return Solution(int(best), dict(enumerate(value)))
 
 

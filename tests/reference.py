@@ -235,9 +235,12 @@ def dp_tables(instance: PcspInstance, decomp: Decomposition) -> list[np.ndarray]
 
     A node's subtree is a contiguous run of the post-order ending at the
     node, so its table is the root table of the forward pass run over
-    that run alone."""
+    that run alone.  That table's axes have length 1 or the forward
+    pass's k; on narrowed axes (k < d) position j is the special's j-th
+    allowed value, so the table is scattered back through the allowed
+    values, with INFINITY at every other value."""
     nodes = decomp.nodes
-    am = allowed_mask(instance)
+    d = instance.d
     first: list[int] = []  # each node's lowest descendant
     full = []
     for i, node in enumerate(nodes):
@@ -250,13 +253,15 @@ def dp_tables(instance: PcspInstance, decomp: Decomposition) -> list[np.ndarray]
                 for n in nodes[lo : i + 1]
             ),
         )
-        tab = solver._forward(instance, sub)[0]
-        s, t, b, c = (am[v] for v in node.specials)
-        full.append(
-            tab
-            + s[:, None, None, None]
-            + t[None, :, None, None]
-            + b[None, None, :, None]
-            + c[None, None, None, :]
-        )
+        tab, vm = solver._forward(instance, sub)[:2]
+        narrowed = vm.shape[1] < d
+        values = [instance.allowed[v] for v in node.specials]
+        # where each special's allowed values sit on its axis of `tab`
+        at = [
+            [0] * len(vals) if n == 1 else range(len(vals)) if narrowed else vals
+            for vals, n in zip(values, tab.shape)
+        ]
+        out = np.full((d, d, d, d), solver.INFINITY)
+        out[np.ix_(*values)] = tab[np.ix_(*at)]
+        full.append(out)
     return full

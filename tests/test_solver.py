@@ -305,6 +305,37 @@ def test_dp_tables_match_exhaustive_subproblems(src):
         assert ((got == expect) | (np.isinf(got) & np.isinf(expect))).all(), i
 
 
+# the programs of the test above, without the filterwarnings mark
+_DP_PROGRAMS = next(
+    mark.args[1]
+    for mark in test_dp_tables_match_exhaustive_subproblems.pytestmark
+    if mark.name == "parametrize"
+)
+
+
+@pytest.mark.filterwarnings("ignore::splcsp.spl.OpenProgramWarning")
+@pytest.mark.parametrize("domain", [3, 4])
+@pytest.mark.parametrize("src", _DP_PROGRAMS)
+def test_dp_tables_match_exhaustive_subproblems_on_narrow_domains(src, domain):
+    # every allowed set is smaller than d, so the forward pass runs on
+    # narrowed axes; vertex 0 allows d - 1 values, so they are longer
+    # than 1 and the tables must be scattered back to (d, d, d, d)
+    d = decompose_source(src)
+    rng = np.random.default_rng([zlib.crc32(src.encode()), domain])
+    base = gen.random_instance(d.cfg, domain, seed=int(rng.integers(1 << 30)), inf_prob=0.2, restrict_prob=0.0)
+    allowed = {
+        v: rng.choice(domain, size=domain - 1 if v == 0 else int(rng.integers(1, domain)), replace=False).tolist()
+        for v in range(d.cfg.vertex_count)
+    }
+    inst = PcspInstance(d.cfg, domain, base.edge_stack, base.vertex_costs, allowed)
+    tabs = dp_tables(inst, d)
+    for i in range(len(d.nodes)):
+        expect = brute_node_table(inst, d, i)
+        got = tabs[i]
+        assert got.shape == (domain,) * 4
+        assert ((got == expect) | (np.isinf(got) & np.isinf(expect))).all(), i
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -1136,6 +1167,16 @@ def test_malformed_tables_name_their_edge():
                 {"src": first[0], "dst": first[1], "table": ok},
                 {"src": second[0], "dst": second[1], "table": bad},
             ]})
+
+
+def test_a_malformed_table_past_the_last_edge_is_refused_as_a_whole():
+    # the list form names a bad table by its edge; a table past the
+    # last edge has none, so the list is refused by its shape
+    d = decompose_source("a; b")
+    ok = [[0, 0], [0, 0]]
+    for extra in ([[1]], ok, 5):
+        with pytest.raises(ValueError, match=r"^edge costs must be 2x2x2$"):
+            PcspInstance(d.cfg, 2, [ok, ok, extra])
 
 
 def test_validation_errors_name_the_first_bad_edge_or_vertex():
