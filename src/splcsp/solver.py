@@ -6,9 +6,10 @@ vertex.  Costs are non-negative integers extended with ``INFINITY``
 (hard constraints); addition saturates.
 
 `solve` minimizes the total cost over all assignments in one bottom-up
-pass over a decomposition: tables are indexed by the values of a
-subgraph's four special vertices, but only on the specials its edges
-touch, and each edge is charged once, by the first node that holds it.
+pass over a decomposition's flat arrays, with no object per node or per
+edge: tables are indexed by the values of a subgraph's four special
+vertices, but only on the specials its edges touch, and each edge is
+charged once, by the first node that holds it.
 An axis has length k, the size of the largest allowed set, and holds
 only its vertex's allowed values when k < d.  A node whose subgraph
 holds no break or continue costs O(k**3) and any node at most O(k**5);
@@ -28,12 +29,13 @@ into a broadcast tensor with one axis per unpinned vertex, a block of
 at most `_CHUNK` assignments at a time.
 
 An instance holds tables only, in one store: a read-only (r, d, d)
-stack of the distinct edge tables and a map from edge key to row, so
-edges given one table object share a row.  Edge and vertex costs
-each pass one conversion that checks the whole array at once.  The
-problem builders emit shared tables directly, `instance_from_json`
-hands its checked lists over as a mapping from edge key to table, and
-a callable cost is tabulated first, then checked like any table.
+stack of the distinct edge tables and a read-only array of each edge's
+row, in the order of the graph's edges, so edges given one table object
+share a row.  Edge and vertex costs each pass one conversion that
+checks the whole array at once.  The problem builders emit shared
+tables directly, `instance_from_json` hands its checked lists over as a
+mapping from edge key to table, and a callable cost is tabulated first,
+then checked like any table.
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ import functools
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from heapq import heappush
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .spl import Cfg, Decomposition, Edge
+from .spl import KINDS, SERIES_NODE, Cfg, Decomposition
 
 INFINITY = math.inf
 
@@ -149,18 +152,22 @@ def _cost_array(items, shape: tuple, bad_item: Callable[[int], str], bad_whole: 
     """``items``, a list of tables or an array of them, as a new float64
     array of ``shape``; an empty list is taken when ``shape`` has no
     rows.  Otherwise a ValueError names the first item whose shape is
-    not ``shape[1:]``, by ``bad_item(i)``, or the whole, by
-    ``bad_whole``."""
+    not ``shape[1:]``, by ``bad_item(i)``, or, when there is none or it
+    lies past the last row, the whole, by ``bad_whole``."""
+
+    def bad(i: int) -> str:
+        return bad_item(i) if i < shape[0] else bad_whole
+
     try:
         arr = _floats(items)
     except ValueError:
-        _check_shapes(items, shape[1:], bad_item)
+        _check_shapes(items, shape[1:], bad)
         raise
     if arr.shape == (0,) and not shape[0]:
         return np.zeros(shape)
     if arr.shape != shape:
         if arr.ndim:
-            _check_shapes(items, shape[1:], bad_item)
+            _check_shapes(items, shape[1:], bad)
         raise ValueError(bad_whole)
     return arr
 
@@ -193,11 +200,13 @@ class PcspInstance:
     ``allowed`` holds a sorted tuple per vertex, one per distinct set.
 
     The edge costs are stored once: ``edge_stack`` is a read-only
-    (r, d, d) array of distinct tables, and ``edge_rows`` maps every
-    edge key, in ``cfg.edges`` order, to its row.  Edges given one
-    table object share a row, so builders that reuse a few tables keep
-    r small; the array form gives every edge its own row.
-    ``edge_tables`` maps each key to a read-only view of its row.
+    (r, d, d) array of distinct tables, and ``edge_rows`` a read-only
+    intp array of each edge's row, in ``cfg.edges`` order.  Edges given
+    one table object share a row, so builders that reuse a few tables
+    keep r small; the array form gives every edge its own row.  A graph
+    that lists an edge twice charges each listing.  ``edge_tables``,
+    made on first use, maps each edge key to a read-only view of its
+    row.
     """
 
     def __init__(
@@ -214,7 +223,6 @@ class PcspInstance:
         self.d = int(domain_size)
         d, n = self.d, cfg.vertex_count
 
-        keys = [(e.src, e.dst) for e in cfg.edges]
         # callables are an adapter: tabulate them, then check the
         # tables like any others
         if callable(edge_costs):
@@ -227,11 +235,6 @@ class PcspInstance:
         if edge_costs is None:
             edge_costs = {}
         if isinstance(edge_costs, Mapping):
-            extra = set(edge_costs) - set(keys)
-            if extra:
-                raise InstanceMismatchError(
-                    f"edge costs given for non-edges: {sorted(extra)[:4]}"
-                )
             # one row per distinct table object, edges left out sharing
             # `zero`; `given` holds the objects, so no id is reused
             # meanwhile
@@ -239,34 +242,40 @@ class PcspInstance:
             given: list = []
             row_of: dict[int, int] = {}
             rows = []
-            for k in keys:
-                tab = edge_costs.get(k, zero)
+            found = 0
+            for e in cfg.edges:
+                tab = edge_costs.get((e.src, e.dst), zero)
+                found += tab is not zero
                 r = row_of.setdefault(id(tab), len(given))
                 if r == len(given):
                     given.append(tab)
                 rows.append(r)
+            # every key is found once, unless the graph repeats an edge
+            if found != len(edge_costs):
+                extra = set(edge_costs) - {(e.src, e.dst) for e in cfg.edges}
+                if extra:
+                    raise InstanceMismatchError(
+                        f"edge costs given for non-edges: {sorted(extra)[:4]}"
+                    )
             count = len(given)
         else:
             given = edge_costs
-            rows = range(len(keys))
-            count = len(keys)
+            rows = range(len(cfg.edges))
+            count = len(cfg.edges)
 
         def key(r: int) -> tuple[int, int]:
-            return keys[rows.index(r)]
+            e = cfg.edges[rows.index(r)]
+            return e.src, e.dst
 
-        whole = f"edge costs must be {len(keys)}x{d}x{d}"  # also for tables past the last edge
-        stack = _cost_array(
-            given,
-            (count, d, d),
-            lambda r: f"edge table {key(r)} must be {d}x{d}" if r < count else whole,
-            whole,
-        )
+        whole = f"edge costs must be {len(cfg.edges)}x{d}x{d}"
+        stack = _cost_array(given, (count, d, d), lambda r: f"edge table {key(r)} must be {d}x{d}", whole)
+        self.edge_rows = np.asarray(rows, dtype=np.intp)
+        self.edge_rows.setflags(write=False)
         # the largest finite cost of every edge and vertex, added up
-        uses = np.bincount(np.asarray(rows, dtype=np.intp), minlength=len(stack))
+        uses = np.bincount(self.edge_rows, minlength=len(stack))
         worst = sum(map(operator.mul, _highs(stack, lambda r: f"edge {key(r)}"), uses.tolist()))
         stack.setflags(write=False)
         self.edge_stack = stack
-        self.edge_rows = dict(zip(keys, rows))
 
         if vertex_costs is None:
             vertex_costs = np.zeros((n, d))
@@ -316,7 +325,7 @@ class PcspInstance:
         """Edge key -> its (d, d) table, a read-only view of its row of
         ``edge_stack``; keys that share a row share one view."""
         views = list(self.edge_stack)
-        return {k: views[r] for k, r in self.edge_rows.items()}
+        return {(e.src, e.dst): views[r] for e, r in zip(self.cfg.edges, self.edge_rows.tolist())}
 
 
 @dataclass(frozen=True)
@@ -356,8 +365,8 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
             return INFINITY
         total += instance.vertex_costs[v, vals[v]]
     stack = instance.edge_stack
-    for (src, dst), r in instance.edge_rows.items():
-        total += stack[r, vals[src], vals[dst]]
+    for e, r in zip(instance.cfg.edges, instance.edge_rows.tolist()):
+        total += stack[r, vals[e.src], vals[e.dst]]
     return INFINITY if math.isinf(total) else int(total)
 
 
@@ -388,11 +397,18 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # continue edge costs k**3, and k**5 is the worst case (a series node,
 # or a loop's child, whose T, B and C are all touched).
 #
+# The pass reads the decomposition's flat arrays: kinds, children and
+# specials by node, and each leaf's and loop's edges as positions in
+# the graph's edge list, which index the instance's row array.  When
+# the instance's graph is another object with the same edges, its rows
+# are put in the decomposition's edge order once, before the pass.
+#
 # A parallel node merges its operands' specials, so an S->T, S->B or
 # S->C edge in both is one CFG edge.  The first of its holders in node
-# order, leaves or loops (by their own S->T), charges it and the
-# others' tables are zeroed; between the parallel node and a holder the
-# edge joins two specials, so no minimum sees it.
+# order, leaves or loops (by their own S->T), charges it, flagged by
+# the edge's position, and the others' tables are zeroed; between the
+# parallel node and a holder the edge joins two specials, so no
+# minimum sees it.
 #
 # A loop's child specials each meet one edge outside the child (S the
 # entry, T and C the back edges, B the exit), so each is minimized out
@@ -462,8 +478,12 @@ def _sum_min(a: np.ndarray, b: np.ndarray, axis: int, dtype) -> tuple[np.ndarray
     return z.argmin(axis=1).astype(dtype), np.minimum.reduce(z, axis=1)
 
 
-# the table axis of the target of a leaf's one edge, or a loop's S->T
-_HELD_AXIS = {"epsilon": 1, "break": 2, "continue": 3, "loop": 1}
+# slots of `Decomposition.edges` per node kind: a leaf's one edge, a
+# loop's five, its held S->T first
+_SLOTS = (1, 1, 1, 0, 0, 5)
+
+# a byte per kind code, 1 for a series node, for `bytes.translate`
+_IS_SERIES = bytes(code == SERIES_NODE for code in range(256))
 
 
 def _widest(key: tuple, k: int) -> int:
@@ -481,9 +501,10 @@ def _widest(key: tuple, k: int) -> int:
     return k * max(lt, rt) * max(lb, rb) * max(lc, rc)
 
 
-def _execution_tree(nodes) -> tuple[list, list]:
-    """Each node's children and specials in the tree that the forward
-    pass runs; a series node's merge point is its left child's T.
+def _execution_tree(decomp: Decomposition) -> tuple[array, array, tuple]:
+    """Each node's left and right child and its specials, in arrays
+    like the decomposition's, in the tree that the forward pass runs;
+    a series node's merge point is its left child's T.
 
     It is the decomposition, except that every chain of three or more
     operands, a series node and the series nodes down its left
@@ -491,12 +512,13 @@ def _execution_tree(nodes) -> tuple[list, list]:
     balanced tree over the same operands, left to right.  The new
     tree's nodes take the places of the chain's series nodes in
     post-order, so its root takes the top's, with its index and its
-    specials."""
-    kids = [node.children for node in nodes]
-    spec = [node.specials for node in nodes]
+    specials.  The arrays that regrouping changes are copies: the
+    children, S and T, since a chain's B and C are its top's."""
+    S, T, B, C = decomp.specials
+    left, right, S, T = array("i", decomp.left), array("i", decomp.right), array("i", S), array("i", T)
     # series nodes not yet in a chain; a top is the highest one left,
     # since a series parent would have taken it along as its left child
-    series = bytearray(map("series".__eq__, map(operator.attrgetter("kind"), nodes)))
+    series = bytearray(decomp.kinds.translate(_IS_SERIES))
     top = series.rfind(1)
     while top >= 0:
         # the chain's series nodes, and its operands right to left; a
@@ -505,18 +527,17 @@ def _execution_tree(nodes) -> tuple[list, list]:
         while series[i]:
             series[i] = 0
             places.append(i)
-            i, right = kids[i]
-            ops.append(right)
+            ops.append(right[i])
+            i = left[i]
         ops.append(i)
         if len(ops) > 2:
             # down the spine, the places come highest first
             place = iter(reversed(places)).__next__
-            _, _, b, c = spec[top]
 
-            def join(left: int, right: int) -> int:
+            def join(l: int, r: int) -> int:
                 i = place()
-                kids[i] = (left, right)
-                spec[i] = (spec[left][0], spec[right][1], b, c)
+                left[i], right[i] = l, r
+                S[i], T[i] = S[l], T[r]
                 return i
 
             # as in a binary counter, the j-th operand from the left
@@ -532,12 +553,13 @@ def _execution_tree(nodes) -> tuple[list, list]:
             while groups:
                 g = join(groups.pop(), g)
         top = series.rfind(1, 0, top)
-    return kids, spec
+    return left, right, (S, T, B, C)
 
 
-def _narrowed(instance: PcspInstance) -> tuple[np.ndarray, np.ndarray, Mapping, int]:
+def _narrowed(instance: PcspInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Each vertex's cost and mask as one (n, k) array, and the edge
-    stack and row map on the same axes (see the DP notes above)."""
+    stack on the same axes with each edge's row in it (see the DP notes
+    above)."""
     allowed, k = instance.allowed, max(map(len, instance.allowed), default=instance.d)
     if k == instance.d:
         return _masked(np.array(instance.vertex_costs), allowed), instance.edge_stack, instance.edge_rows, k
@@ -548,48 +570,73 @@ def _narrowed(instance: PcspInstance) -> tuple[np.ndarray, np.ndarray, Mapping, 
     vm = np.take_along_axis(instance.vertex_costs, at[sid], 1)
     vm[(np.arange(k) >= np.array(list(map(len, ids)))[:, None])[sid]] = INFINITY
     narrow: dict[tuple, int] = {}
-    rows = [narrow.setdefault((r, sid[u], sid[w]), len(narrow)) for (u, w), r in instance.edge_rows.items()]
+    rows = [
+        narrow.setdefault((r, sid[e.src], sid[e.dst]), len(narrow))
+        for e, r in zip(instance.cfg.edges, instance.edge_rows.tolist())
+    ]
     r, su, sw = np.array(list(narrow), dtype=np.intp).reshape(-1, 3).T
     stack = instance.edge_stack[r[:, None, None], at[su][:, :, None], at[sw][:, None, :]]
-    return vm, stack, dict(zip(instance.edge_rows, rows)), k
+    return vm, stack, np.array(rows, dtype=np.intp), k
+
+
+def _edge_order(a: Cfg, b: Cfg) -> list[int] | None:
+    """None when ``a`` is ``b``; otherwise where each edge of ``b`` sits
+    in ``a.edges``, for graphs that hold the same edges in another
+    order.  Graphs that differ are refused."""
+    if a is b:
+        return None
+    at = {(e.src, e.dst): i for i, e in enumerate(a.edges)}
+    order = [at.get((e.src, e.dst), -1) for e in b.edges]
+    if a.vertex_count != b.vertex_count or sorted(order) != list(range(len(a.edges))):
+        raise InstanceMismatchError("instance and decomposition use different graphs")
+    return order
 
 
 def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray, np.ndarray, list, tuple]:
     """The root's table, each vertex's cost and mask as one (n, k)
     array, the choices and nodes of every series or loop batch in the
     order the batches ran, and the execution tree they index."""
+    order = _edge_order(instance.cfg, decomp.cfg)
     # a vertex's cost and mask, charged together
     vm, stack, rows, k = _narrowed(instance)
-    nodes = decomp.nodes
-    kids, spec = _execution_tree(nodes)
-    tables: list[np.ndarray | None] = [None] * len(nodes)
+    if order is not None:
+        rows = rows[order]
+    # the row of each edge, by its position in the decomposition's graph
+    row_of = rows.tolist()
+    kinds, slots = decomp.kinds, decomp.edges
+    left, right, spec = _execution_tree(decomp)
+    T = spec[1]
+    tables: list[np.ndarray | None] = [None] * len(kinds)
     steps: list[tuple] = []
     one = np.min_scalar_type(k - 1)
 
-    # a leaf's table holds its one edge, on its target's axis
-    leaf_shapes = {"epsilon": (k, k, 1, 1), "break": (k, 1, k, 1), "continue": (k, 1, 1, k)}
+    # a leaf's table holds its one edge, on its target's axis; by kind
+    # code: epsilon, break, continue
+    leaf_shapes = ((k, k, 1, 1), (k, 1, k, 1), (k, 1, 1, k))
 
     def class_of(i: int) -> tuple:
         """The batch class of a node whose inner children are done: its
         kind and its children's table shapes."""
-        key = [nodes[i].kind]
-        for c in kids[i]:
-            key.append(tables[c].shape if kids[c] else leaf_shapes[nodes[c].kind])
+        key = [KINDS[kinds[i]]]
+        for c in (left[i], right[i]):
+            if c >= 0:
+                key.append(tables[c].shape if left[c] >= 0 else leaf_shapes[kinds[c]])
         return tuple(key)
 
     def held(idx):
         """The stacked (k, k) tables of the edges that leaves or loops
         ``idx`` hold, zero where an earlier holder charges the edge."""
-        tab = stack.take([held_rows[i] for i in idx], axis=0)
+        tab = stack.take([row_of[slots[first[i]]] for i in idx], axis=0)
         if not zeroed.isdisjoint(idx):
             tab[[j for j, i in enumerate(idx) if i in zeroed]] = 0.0
         return tab
 
     def child(batch, side, shape):
-        """The stacked tables of the batch's children on ``side``, 0 or
-        1; leaves are formed here, when they are needed."""
-        idx = [kids[i][side] for i in batch]
-        leaf = [i for i in idx if not kids[i]]
+        """The stacked tables of the batch's children on ``side``,
+        ``left`` or ``right``; leaves are formed here, when they are
+        needed."""
+        idx = list(map(side.__getitem__, batch))
+        leaf = [i for i in idx if left[i] < 0]
         if not leaf:
             return _stack([tables[i] for i in idx])
         tab = held(leaf).reshape(len(leaf), *shape)
@@ -603,33 +650,33 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
     # are freed on return instead of staying bound while later batches
     # run; each returns the batch's stacked tables
     def leaf(key, batch):
-        return held(batch).reshape(len(batch), *leaf_shapes[key[0]])
+        return held(batch).reshape(len(batch), *leaf_shapes[kinds[batch[0]]])
 
     def series(key, batch):
         # axes: the merge point, S, then T, B and C.  The merge point's
         # cost and mask are added into the right operand in place,
         # whose S axis is always full: no other node reads its tables.
-        m = [spec[kids[i][0]][1] for i in batch]
-        left = child(batch, 0, key[1]).transpose(0, 2, 1, 3, 4)
-        right = child(batch, 1, key[2])
-        right += vm.take(m, axis=0)[:, :, None, None, None]
-        picks, dp = _sum_min(left[:, :, :, None], right[:, :, None], 2, one)
+        m = [T[left[i]] for i in batch]
+        lhs = child(batch, left, key[1]).transpose(0, 2, 1, 3, 4)
+        rhs = child(batch, right, key[2])
+        rhs += vm.take(m, axis=0)[:, :, None, None, None]
+        picks, dp = _sum_min(lhs[:, :, :, None], rhs[:, :, None], 2, one)
         steps.append((picks, batch))
         return dp
 
     def parallel(key, batch):
-        return child(batch, 0, key[1]) + child(batch, 1, key[2])
+        return child(batch, left, key[1]) + child(batch, right, key[2])
 
     def loop(key, batch):
         n = len(batch)
-        S, T = map(list, zip(*(spec[i][:2] for i in batch)))
-        cs, ct, cb, cc = map(list, zip(*(spec[kids[i][0]] for i in batch)))
+        inner = list(map(left.__getitem__, batch))
+        cs, ct, cb, cc = (list(map(a.__getitem__, inner)) for a in spec)
         # the edges, each (n, k, k): enter S->cs, back ct->S and cc->S
-        # and exit cb->T; the loop's own S->T is held.  Each child
+        # and exit cb->T, in the slots after the held S->T.  Each child
         # special's vertex cost and mask ride on the edge table it
         # meets, whatever the length of its axis in the child's table.
-        keys = [*zip(S, cs), *zip(ct, S), *zip(cc, S), *zip(cb, T)]
-        g = stack.take(list(map(rows.__getitem__, keys)), axis=0).reshape(4, n, k, k)
+        at = [first[i] for i in batch]
+        g = stack.take([row_of[slots[s + j]] for j in range(1, 5) for s in at], axis=0).reshape(4, n, k, k)
         enter, back_t, back_c, exit_b = g
         v = vm.take(cs + ct + cc + cb, axis=0).reshape(4, n, k)
         enter += v[0, :, None, :]
@@ -637,7 +684,7 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
         # axes: the batch, the reduced value, then the rest; the child's
         # S goes (leaving the loop's S and the child's T, B, C), then
         # T, C and B, leaving (S, B, C), (S, B) and the loop's (S, T)
-        x = child(batch, 0, key[1])[:, :, None]
+        x = child(batch, left, key[1])[:, :, None]
         arg_s, x = _sum_min(enter.transpose(0, 2, 1)[:, :, :, None, None, None], x, 2, one)
         arg_t, x = _sum_min(x.transpose(0, 2, 1, 3, 4), back_t[:, :, :, None, None], 3, one)
         arg_c, x = _sum_min(x.transpose(0, 3, 1, 2), back_c[:, :, :, None], 3, one)
@@ -650,35 +697,33 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
     # node still waits for.  Leaves are not run on their own: their
     # parents form them (a lone root leaf is its own batch).
     ready: dict[tuple, list[int]] = {}
-    waiting = bytearray(len(nodes))
-    parent = [-1] * len(nodes)
-    # the row of each leaf's or loop's held edge; the first holder of an
-    # edge in node order charges it, and later ones are zeroed
-    held_rows = [0] * len(nodes)
-    charged: set[tuple] = set()
+    waiting = bytearray(len(kinds))
+    parent = array("i", [-1]) * len(kinds)
+    # each leaf's or loop's first slot, where its held edge is; the first
+    # holder of an edge in node order charges it, and later ones are
+    # zeroed
+    first = array("i", [0]) * len(kinds)
+    charged = bytearray(len(row_of))
     zeroed: set[int] = set()
-    for i, children in enumerate(kids):
-        kind = nodes[i].kind
-        if kind not in (run if children else leaf_shapes):
-            raise ValueError(f"unknown node kind: {kind!r}")
-        if kind in _HELD_AXIS:
-            edge = spec[i][0], spec[i][_HELD_AXIS[kind]]
-            held_rows[i] = rows[edge]
-            if edge in charged:
+    slot = 0
+    for i, kind in enumerate(kinds):
+        if _SLOTS[kind]:
+            first[i] = slot
+            edge = slots[slot]
+            if charged[edge]:
                 zeroed.add(i)
-            charged.add(edge)
-        if not children:
+            charged[edge] = 1
+            slot += _SLOTS[kind]
+        if left[i] < 0:
             continue
-        for c in children:
-            if kids[c]:
+        for c in (left[i], right[i]):
+            if c >= 0 and left[c] >= 0:
                 parent[c] = i
                 waiting[i] += 1
         if not waiting[i]:
             heappush(ready.setdefault(class_of(i), []), i)
-    # a tuple per held edge: freed before any table is formed
-    del charged
     root = decomp.root
-    if not kids[root]:
+    if left[root] < 0:
         ready[class_of(root)] = [root]
     caps: dict[tuple, int] = {}
     # heaps compare by their lowest node
@@ -697,25 +742,24 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
             del heap[: caps[key]]
         for i, tab in zip(batch, run.get(key[0], leaf)(key, batch)):
             tables[i] = tab
-            for c in kids[i]:
-                tables[c] = None
+            for c in (left[i], right[i]):
+                if c >= 0:
+                    tables[c] = None
             p = parent[i]
             if p >= 0:
                 waiting[p] -= 1
                 if not waiting[p]:
                     heappush(ready.setdefault(class_of(p), []), p)
-    return tables[root], vm, steps, (kids, spec)
+    return tables[root], vm, steps, (left, right, spec)
 
 
 def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
     """Exact minimum over all assignments, linear in the program size,
     with an assignment that attains it when it is finite.  Which of
     several optimal assignments it returns is not specified."""
-    a, b = instance.cfg, decomp.cfg
-    if a is not b and (a.vertex_count != b.vertex_count or a.edge_map.keys() != b.edge_map.keys()):
-        raise InstanceMismatchError("instance and decomposition use different graphs")
-    total, vm, steps, (kids, spec) = _forward(instance, decomp)
-    specials = decomp.nodes[decomp.root].specials
+    total, vm, steps, (left, _, spec) = _forward(instance, decomp)
+    S, T, B, C = spec
+    specials = [a[decomp.root] for a in spec]
     # a root special on a length-1 axis meets only its own cost: pick
     # its value alone rather than widening the table
     quad = [0, 0, 0, 0]
@@ -745,18 +789,17 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
             arg_s, arg_t, arg_c, arg_b = picks
             _, _, wide_t, wide_b, wide_c = (n > 1 for n in arg_s.shape)
             for j, i in enumerate(batch):
-                s, t = value[spec[i][0]], value[spec[i][1]]
+                s, t = value[S[i]], value[T[i]]
                 cb = arg_b.item(j, s, t)
                 cc = arg_c.item(j, s, cb * wide_b)
                 ct = arg_t.item(j, s, cb * wide_b, cc * wide_c)
                 cs = arg_s.item(j, s, ct * wide_t, cb * wide_b, cc * wide_c)
-                for v, x in zip(spec[kids[i][0]], (cs, ct, cb, cc)):
-                    value[v] = x
+                c = left[i]
+                value[S[c]], value[T[c]], value[B[c]], value[C[c]] = cs, ct, cb, cc
         else:
             wide = [n > 1 for n in picks.shape[1:]]
             for j, i in enumerate(batch):
-                m = spec[kids[i][0]][1]
-                value[m] = picks.item(j, *[value[v] if w else 0 for v, w in zip(spec[i], wide)])
+                value[T[left[i]]] = picks.item(j, *[value[a[i]] if w else 0 for a, w in zip(spec, wide)])
     if -1 in value:
         raise AssertionError("reconstruction did not assign every vertex")
     if vm.shape[1] < instance.d:  # narrowed: position j is the j-th allowed value
@@ -802,7 +845,8 @@ def oracle_solve(
     pick = [vals[0] if len(vals) == 1 else slice(None) if len(vals) == d else np.array(vals) for vals in allowed]
     terms = [((v,), row[pick[v]]) for v, row in enumerate(instance.vertex_costs)]
     stack = instance.edge_stack
-    for (u, w), r in instance.edge_rows.items():
+    for e, r in zip(instance.cfg.edges, instance.edge_rows.tolist()):
+        u, w = e.src, e.dst
         if u == w:
             terms.append(((u,), stack[r].diagonal()[pick[u]]))
         else:
@@ -844,7 +888,7 @@ def as_csp(instance: PcspInstance) -> PcspInstance:
     constraints are simultaneously avoidable."""
     # shared rows stay shared
     hard = list(np.where(instance.edge_stack > 0, INFINITY, 0.0))
-    edges = {k: hard[r] for k, r in instance.edge_rows.items()}
+    edges = {(e.src, e.dst): hard[r] for e, r in zip(instance.cfg.edges, instance.edge_rows.tolist())}
     vertex = np.where(instance.vertex_costs > 0, INFINITY, 0.0)
     allowed = {v: vals for v, vals in enumerate(instance.allowed)}
     return PcspInstance(instance.cfg, instance.d, edges, vertex, allowed)
@@ -1020,11 +1064,10 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
 
 
 def instance_to_json(instance: PcspInstance) -> dict:
-    rows = instance.edge_rows
-    tables = _costs_to_json(instance.edge_stack[list(rows.values())])
+    tables = _costs_to_json(instance.edge_stack[instance.edge_rows])
     edges = [
-        {"src": src, "dst": dst, "table": tab}
-        for (src, dst), tab in zip(rows, tables)
+        {"src": e.src, "dst": e.dst, "table": tab}
+        for e, tab in zip(instance.cfg.edges, tables)
     ]
     out: dict = {
         "domain_size": instance.d,

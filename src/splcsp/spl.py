@@ -16,14 +16,19 @@ operation that builds each subgraph:
   (entering the body), S->T (skipping it), T1->S and C1->S (back
   edges), B1->T (breaking out).
 
-``tests/reference.py`` holds the series/parallel/loop graph algebra
-that ``decompose`` is checked against.
+The operations are stored flat, in arrays indexed by node, with each
+leaf's and loop's edges as positions in ``cfg.edges`` (see
+`Decomposition`); `Decomposition.nodes` makes one `DecompNode` per
+node on first use, for the JSON tree and the tests, and the solver
+never reads it.  ``tests/reference.py`` holds the series/parallel/loop
+graph algebra that ``decompose`` is checked against.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 from . import lang
@@ -198,6 +203,10 @@ def _dot_escape(text: str) -> str:
 # ---------------------------------------------------------------------------
 # decomposition
 
+# node kinds, by their code in `Decomposition.kinds`
+KINDS = ("epsilon", "break", "continue", "series", "parallel", "loop")
+EPSILON_NODE, BREAK_NODE, CONTINUE_NODE, SERIES_NODE, PARALLEL_NODE, LOOP_NODE = range(6)
+
 
 @dataclass(frozen=True)
 class DecompNode:
@@ -220,14 +229,52 @@ class DecompNode:
 
 @dataclass
 class Decomposition:
-    """Operation tree (post-order, root last) plus the finished CFG."""
+    """Operation tree (post-order, root last) plus the finished CFG.
 
-    nodes: tuple[DecompNode, ...]
+    The tree is stored flat, one entry per node in each array:
+    ``kinds`` holds a `KINDS` code, ``left`` and ``right`` the children
+    (-1 where there is none; a loop's one child is its left), and the
+    four arrays of ``specials`` the S, T, B and C.  ``edges``
+    holds positions in ``cfg.edges``, leaves and loops in node order: a
+    leaf's one edge, and a loop's S->T, then S->S1, T1->S, C1->S and
+    B1->T.  ``spans`` and ``texts`` share the parse tree's objects: an
+    epsilon's text, or a parallel's or loop's guard, is its text, and
+    ``collapsed`` holds a parallel node's edges that both operands have,
+    S->T (1), S->B (2) and S->C (4).  `nodes` is derived from these.
+    """
+
     cfg: Cfg
+    kinds: bytes
+    left: array
+    right: array
+    specials: tuple[array, array, array, array]
+    edges: array
+    spans: list[Span]
+    texts: list[str | None]
+    collapsed: bytes
 
     @property
     def root(self) -> int:
-        return len(self.nodes) - 1
+        return len(self.kinds) - 1
+
+    @functools.cached_property
+    def nodes(self) -> tuple[DecompNode, ...]:
+        """Every node as a `DecompNode`, made on first use; the solver
+        reads the arrays."""
+        fields = zip(self.kinds, self.left, self.right, zip(*self.specials), self.spans, self.texts, self.collapsed)
+        return tuple(
+            DecompNode(
+                KINDS[kind],
+                tuple(c for c in (l, r) if c >= 0),
+                (S, T, B, C),
+                span,
+                text if kind == EPSILON_NODE else None,
+                text if kind in (PARALLEL_NODE, LOOP_NODE) else None,
+                self.specials[1][l] if kind == SERIES_NODE else None,
+                tuple(edge for bit, edge in ((1, (S, T)), (2, (S, B)), (4, (S, C))) if mask & bit),
+            )
+            for kind, l, r, (S, T, B, C), span, text, mask in fields
+        )
 
     def to_json(self) -> dict:
         """The nodes in post-order, each listing its children by index,
@@ -265,11 +312,26 @@ def decompose(tree: Stmt) -> Decomposition:
     # one of its vertices, in post-order and S, T, B, C order.
     ids = [-1] * 4  # CFG id of each class, -1 until created
     vertex_count = 0
-    # (src, dst) -> label and text; the first edge wins, so a collapsed
-    # edge keeps its left operand's
-    edge_info: dict[tuple[int, int], tuple[str, str | None]] = {}
-    nodes: list[DecompNode] = []
-    spans: dict[int, list[Span]] = {}
+    # (src, dst) -> position; the first edge wins, so a collapsed edge
+    # keeps its left operand's label and text
+    edge_at: dict[tuple[int, int], int] = {}
+    labels: list[str] = []
+    edge_texts: list[str | None] = []
+
+    def position(key: tuple[int, int], label: str, text: str | None) -> int:
+        at = edge_at.setdefault(key, len(labels))
+        if at == len(labels):
+            labels.append(label)
+            edge_texts.append(text)
+        return at
+
+    kinds = bytearray()
+    left, right, edges = array("i"), array("i"), array("i")
+    specials = ss, ts, bs, cs = array("i"), array("i"), array("i"), array("i")
+    spans: list[Span] = []
+    texts: list[str | None] = []
+    collapsed = bytearray()
+    vertex_spans: list[list[Span]] = []
     # per finished subtree: its node and which of the edges S->T (1),
     # S->B (2), S->C (4) it has, the only ones a parallel node collapses
     results: list[tuple[int, int]] = []
@@ -300,55 +362,66 @@ def decompose(tree: Stmt) -> Decomposition:
                 if ids[k] < 0:
                     ids[k] = vertex_count
                     vertex_count += 1
-        S, T, B, C = specials = (ids[s], ids[t], ids[b], ids[c])
+                    vertex_spans.append([])
+        S, T, B, C = ids[s], ids[t], ids[b], ids[c]
+        l = r = -1
+        text = None
+        dups = 0
         if isinstance(node, lang.Seq):
-            (right, rmask), (left, lmask) = results.pop(), results.pop()
-            merged = nodes[left].specials[1]
-            op = DecompNode("series", (left, right), specials, node.span, merged=merged)
+            (r, rmask), (l, lmask) = results.pop(), results.pop()
+            kind = SERIES_NODE
             # an S->B / S->C edge survives only from the left operand:
             # the right operand's S becomes the internal merge point
             mask = lmask & 6
         elif isinstance(node, lang.If):
-            (right, rmask), (left, lmask) = results.pop(), results.pop()
-            shapes = ((1, (S, T)), (2, (S, B)), (4, (S, C)))
-            dups = tuple(edge for bit, edge in shapes if lmask & rmask & bit)
-            op = DecompNode(
-                "parallel", (left, right), specials, node.span, guard=node.guard, duplicates=dups
-            )
-            mask = lmask | rmask
+            (r, rmask), (l, lmask) = results.pop(), results.pop()
+            kind, text = PARALLEL_NODE, node.guard
+            dups, mask = lmask & rmask, lmask | rmask
         elif isinstance(node, lang.Epsilon):
-            edge_info.setdefault((S, T), (STMT, node.text))
-            op = DecompNode("epsilon", (), specials, node.span, text=node.text)
-            mask = 1
+            kind, text, mask = EPSILON_NODE, node.text, 1
+            edges.append(position((S, T), STMT, node.text))
         elif isinstance(node, lang.Break):
-            edge_info.setdefault((S, B), (BREAK, None))
-            op = DecompNode("break", (), specials, node.span)
-            mask = 2
+            kind, mask = BREAK_NODE, 2
+            edges.append(position((S, B), BREAK, None))
             if b == 2:
                 open_jumps.append(node.span)
         elif isinstance(node, lang.Continue):
-            edge_info.setdefault((S, C), (CONTINUE, None))
-            op = DecompNode("continue", (), specials, node.span)
-            mask = 4
+            kind, mask = CONTINUE_NODE, 4
+            edges.append(position((S, C), CONTINUE, None))
             if c == 3:
                 open_jumps.append(node.span)
         elif isinstance(node, lang.While):
-            child = results.pop()[0]
-            s1, t1, b1, c1 = nodes[child].specials
-            edge_info.setdefault((S, s1), (LOOP_ENTER, node.guard))
-            edge_info.setdefault((S, T), (LOOP_EXIT, node.guard))
-            edge_info.setdefault((t1, S), (LOOP_BACK, None))
-            edge_info.setdefault((c1, S), (LOOP_BACK, None))
-            edge_info.setdefault((b1, T), (LOOP_EXIT, None))
-            op = DecompNode("loop", (child,), specials, node.span, guard=node.guard)
-            mask = 1
+            l = results.pop()[0]
+            s1, t1, b1, c1 = ss[l], ts[l], bs[l], cs[l]
+            kind, text, mask = LOOP_NODE, node.guard, 1
+            # the edges enter the map in this order, and the held S->T
+            # is listed first
+            enter = position((S, s1), LOOP_ENTER, node.guard)
+            edges.extend(
+                (
+                    position((S, T), LOOP_EXIT, node.guard),
+                    enter,
+                    position((t1, S), LOOP_BACK, None),
+                    position((c1, S), LOOP_BACK, None),
+                    position((b1, T), LOOP_EXIT, None),
+                )
+            )
         else:
             raise TypeError(f"not a parse tree node: {node!r}")
         if creates:
-            for v in specials:
-                spans.setdefault(v, []).append(node.span)
-        nodes.append(op)
-        results.append((len(nodes) - 1, mask))
+            for v in (S, T, B, C):
+                vertex_spans[v].append(node.span)
+        results.append((len(kinds), mask))
+        kinds.append(kind)
+        left.append(l)
+        right.append(r)
+        ss.append(S)
+        ts.append(T)
+        bs.append(B)
+        cs.append(C)
+        spans.append(node.span)
+        texts.append(text)
+        collapsed.append(dups)
 
     if open_jumps:
         line, col = open_jumps[0]
@@ -359,25 +432,33 @@ def decompose(tree: Stmt) -> Decomposition:
             stacklevel=2,
         )
 
-    # relabel the out-edges of every vertex with two or more as branches
-    out_deg: dict[int, list[int]] = {}
-    for src, dst in edge_info:
-        out_deg.setdefault(src, []).append(dst)
-    fall_through = {src: min(dsts) for src, dsts in out_deg.items() if len(dsts) >= 2}
+    # relabel the out-edges of every vertex with two or more as
+    # branches; the one to the lowest target falls through
+    degree = bytearray(vertex_count)  # counted up to 2
+    lowest = array("i", [vertex_count]) * vertex_count
+    for src, dst in edge_at:
+        if degree[src] < 2:
+            degree[src] += 1
+        if dst < lowest[src]:
+            lowest[src] = dst
     final_edges = []
-    for (src, dst), (label, text) in edge_info.items():
-        if src in fall_through:
-            final_edges.append(Edge(src, dst, BRANCH, text, taken=dst != fall_through[src]))
+    for (src, dst), label, text in zip(edge_at, labels, edge_texts):
+        if degree[src] >= 2:
+            final_edges.append(Edge(src, dst, BRANCH, text, taken=dst != lowest[src]))
         else:
             final_edges.append(Edge(src, dst, label, text))
+    del edge_at, labels, edge_texts
+    # each vertex's spans as a tuple, its list freed as it goes
+    vertex_spans.reverse()
+    by_vertex = {v: tuple(vertex_spans.pop()) for v in range(vertex_count)}
 
-    root = nodes[-1].specials
+    root = ss[-1], ts[-1], bs[-1], cs[-1]
     cfg = Cfg(
         vertex_count=vertex_count,
         edges=tuple(final_edges),
         entry=root[0],
         exit=root[1],
         specials=root,
-        spans={v: tuple(ss) for v, ss in spans.items()},
+        spans=by_vertex,
     )
-    return Decomposition(tuple(nodes), cfg)
+    return Decomposition(cfg, bytes(kinds), left, right, specials, edges, spans, texts, bytes(collapsed))

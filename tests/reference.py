@@ -3,21 +3,35 @@
 The series/parallel/loop graph algebra builds SPL graphs one operation
 at a time, as the paper defines them (see `splcsp.spl`); `node_graph`
 replays a decomposition with it, as the reference for `decompose`,
-which builds the CFG in one post-order pass.  `dp_tables` gives every
-node's full DP table, for comparison with exhaustive search.
+which builds the CFG in one post-order pass.  `decomposition` stores a
+list of `DecompNode`s flat, as `decompose` does, and `dp_tables` gives
+every node's full DP table, for comparison with exhaustive search.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from splcsp import solver
 from splcsp.solver import PcspInstance
-from splcsp.spl import BREAK, CONTINUE, LOOP_BACK, LOOP_ENTER, LOOP_EXIT, STMT, Decomposition, Edge
+from splcsp.spl import (
+    BREAK,
+    CONTINUE,
+    KINDS,
+    LOOP_BACK,
+    LOOP_ENTER,
+    LOOP_EXIT,
+    STMT,
+    Cfg,
+    DecompNode,
+    Decomposition,
+    Edge,
+)
 
 
 class OverlappingGraphsError(ValueError):
@@ -167,12 +181,12 @@ def raw_ids(decomp: Decomposition) -> tuple[list[int], list[int]]:
     """
     bases: list[int] = []
     final_of_raw: list[int] = []
-    for node in decomp.nodes:
-        if node.kind in ("series", "parallel"):
+    for kind, specials in zip(decomp.kinds, zip(*decomp.specials)):
+        if KINDS[kind] in ("series", "parallel"):
             bases.append(-1)
         else:
             bases.append(len(final_of_raw))
-            final_of_raw += node.specials
+            final_of_raw += specials
     return bases, final_of_raw
 
 
@@ -220,6 +234,39 @@ def node_graph(decomp: Decomposition, index: int) -> SplGraph:
     )
 
 
+def decomposition(cfg: Cfg, nodes: Sequence[DecompNode]) -> Decomposition:
+    """The decomposition of ``cfg`` whose nodes, in post-order, are
+    ``nodes``, stored flat as `decompose` stores its own; a leaf's and a
+    loop's edges are found in ``cfg.edges`` by their ends."""
+    at = {(e.src, e.dst): i for i, e in enumerate(cfg.edges)}
+    left, right, edges = array("i"), array("i"), array("i")
+    specials = tuple(array("i", [node.specials[axis] for node in nodes]) for axis in range(4))
+    collapsed = bytearray()
+    for node in nodes:
+        S, T, B, C = node.specials
+        l, r = (*node.children, -1, -1)[:2]
+        left.append(l)
+        right.append(r)
+        if node.kind == "loop":
+            s1, t1, b1, c1 = nodes[l].specials
+            keys = [(S, T), (S, s1), (t1, S), (c1, S), (b1, T)]
+        else:
+            keys = {"epsilon": [(S, T)], "break": [(S, B)], "continue": [(S, C)]}.get(node.kind, [])
+        edges.extend(at[key] for key in keys)
+        collapsed.append(sum(bit for bit, edge in ((1, (S, T)), (2, (S, B)), (4, (S, C))) if edge in node.duplicates))
+    return Decomposition(
+        cfg,
+        bytes(KINDS.index(node.kind) for node in nodes),
+        left,
+        right,
+        specials,
+        edges,
+        [node.span for node in nodes],
+        [node.text if node.kind == "epsilon" else node.guard for node in nodes],
+        bytes(collapsed),
+    )
+
+
 def allowed_mask(instance: PcspInstance) -> np.ndarray:
     """``instance.allowed`` as an (n, d) array: 0 at an allowed value,
     INFINITY elsewhere."""
@@ -246,12 +293,9 @@ def dp_tables(instance: PcspInstance, decomp: Decomposition) -> list[np.ndarray]
     for i, node in enumerate(nodes):
         lo = first[node.children[0]] if node.children else i
         first.append(lo)
-        sub = dataclasses.replace(
-            decomp,
-            nodes=tuple(
-                dataclasses.replace(n, children=tuple(c - lo for c in n.children))
-                for n in nodes[lo : i + 1]
-            ),
+        sub = decomposition(
+            decomp.cfg,
+            [dataclasses.replace(n, children=tuple(c - lo for c in n.children)) for n in nodes[lo : i + 1]],
         )
         tab, vm = solver._forward(instance, sub)[:2]
         narrowed = vm.shape[1] < d

@@ -125,8 +125,8 @@ def test_wide_register_allocation_solves_in_little_memory(variables, registers, 
 def test_narrowed_edge_rows_are_one_per_distinct_row_and_sets():
     # two variables and one register: 8 placements, at most 3 allowed
     # at a vertex and four distinct allowed sets, so the one shared
-    # switch table becomes at most 16 rows of 3 x 3, keyed by the
-    # instance's own edge keys
+    # switch table becomes at most 16 rows of 3 x 3, one row index per
+    # edge of the graph
     tree = gen.gen_random_program(gen.GenConfig(seed=3, size=60))
     d = decompose(tree)
     n = d.cfg.vertex_count
@@ -134,7 +134,11 @@ def test_narrowed_edge_rows_are_one_per_distinct_row_and_sets():
     vm, stack, rows, k = solver._narrowed(inst)
     assert (inst.d, k, vm.shape) == (8, 3, (n, 3))
     assert stack.shape[1:] == (3, 3) and len(stack) <= 16
-    assert all(a is b for a, b in zip(rows, inst.edge_rows))
+    assert rows.shape == inst.edge_rows.shape
+    # an edge's row is its table on its ends' allowed values, padded
+    padded = [vals + vals[-1:] * (k - len(vals)) for vals in inst.allowed]
+    for e, r, narrow in zip(d.cfg.edges, inst.edge_rows, rows):
+        assert (stack[narrow] == inst.edge_stack[r][np.ix_(padded[e.src], padded[e.dst])]).all()
     # a vertex's padding is INFINITY, its allowed values keep their costs
     for v, vals in enumerate(inst.allowed):
         assert np.isinf(vm[v, len(vals):]).all() and (vm[v, : len(vals)] == 0).all()

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import allowed_mask, dp_tables, node_graph
+from reference import allowed_mask, decomposition, dp_tables, node_graph
 from splcsp import gen, lang, solver
-from splcsp.instances import build_graph_coloring
+from splcsp.instances import BankSpec, LospreSpec, build_bank_selection, build_graph_coloring, build_lospre
 from splcsp.solver import (
     INFINITY,
     BudgetExceededError,
@@ -181,6 +181,44 @@ def test_solve_rejects_foreign_decomposition():
     other = decompose_source("a; b")
     with pytest.raises(InstanceMismatchError):
         solve(inst, other)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_an_instance_on_an_equal_graph_solves_alike(seed):
+    # the instance's graph is another object holding the same edges,
+    # in another order or read back from JSON: its rows are matched to
+    # the decomposition's edges by their ends
+    d = decompose(gen.gen_random_program(gen.GenConfig(seed=seed, size=60)))
+    inst = gen.random_instance(d.cfg, 3, seed=seed, inf_prob=0.02, restrict_prob=0.3)
+    want = solve(inst, d)
+    shuffled = list(d.cfg.edges)
+    np.random.default_rng(seed).shuffle(shuffled)
+    for cfg in (dataclasses.replace(d.cfg, edges=tuple(shuffled)), Cfg.from_json(d.cfg.to_json())):
+        other = PcspInstance(cfg, 3, inst.edge_tables, inst.vertex_costs, dict(enumerate(inst.allowed)))
+        got = solve(other, d)
+        assert got.to_json() == want.to_json()
+        assert evaluate(other, got.assignment) == got.min_cost == evaluate(inst, got.assignment)
+
+
+def test_solving_never_makes_the_decomposition_nodes():
+    d = decompose(gen.gen_random_program(gen.GenConfig(seed=4, size=200)))
+    n = d.cfg.vertex_count
+    lospre = build_lospre(d.cfg, LospreSpec(use=frozenset(range(0, n, 5))))
+    bank = build_bank_selection(d.cfg, BankSpec(2, preassigned={v: v % 2 for v in range(1, n, 7)}))
+    for inst in (lospre, bank):
+        sol = solve(inst, d)
+        assert evaluate(inst, sol.assignment) == sol.min_cost
+    assert "nodes" not in d.__dict__
+
+
+def test_a_repeated_edge_of_a_graph_is_charged_once_per_listing():
+    # edge costs line up with `cfg.edges`, so a graph that lists an
+    # edge twice charges both listings
+    graph = Cfg.from_json({"vertex_count": 2, "edges": [[0, 1], [0, 1]]})
+    inst = build_graph_coloring(graph, 1)
+    assert inst.edge_rows.tolist() == [0, 0]
+    assert evaluate(inst, {0: 0, 1: 0}) == 2 == oracle_solve(inst).min_cost
+    assert len(instance_to_json(inst)["edge_costs"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +787,7 @@ def test_solve_does_not_read_duplicates(src, seed):
     # it, so the parallel nodes' record of collapsed edges is not needed
     d = decompose_source(src)
     assert any(node.duplicates for node in d.nodes)
-    bare = dataclasses.replace(d, nodes=tuple(dataclasses.replace(node, duplicates=()) for node in d.nodes))
+    bare = decomposition(d.cfg, [dataclasses.replace(node, duplicates=()) for node in d.nodes])
     inst = gen.random_instance(d.cfg, 3, seed=seed, inf_prob=0.1, restrict_prob=0.2)
     got = solve(inst, bare)
     assert got == solve(inst, d)
@@ -1120,7 +1158,9 @@ def test_array_form_equals_mapping_form():
     by_array = PcspInstance(d.cfg, 3, stack, allowed={1: [0, 2]})
     by_key = PcspInstance(d.cfg, 3, dict(zip(keys, stack.tolist())), allowed={1: [0, 2]})
     assert by_array.edge_stack.shape == (len(keys), 3, 3)
-    assert list(by_array.edge_rows) == keys
+    # the row of each edge, in `cfg.edges` order: its own, in the array form
+    assert by_array.edge_rows.tolist() == list(range(len(keys)))
+    assert by_array.edge_rows.dtype == np.intp and not by_array.edge_rows.flags.writeable
     for k in keys:
         assert by_array.edge_tables[k].tolist() == by_key.edge_tables[k].tolist()
     assert solve(by_array, d) == solve(by_key, d) == oracle_solve(by_key)
@@ -1141,7 +1181,7 @@ def test_shared_tables_share_one_row():
     inst = PcspInstance(d.cfg, 2, {k: shared for k in keys[1:]})
     # the edge left out gets its own zero row
     assert inst.edge_stack.shape == (2, 2, 2)
-    assert inst.edge_rows == {keys[0]: 0, **{k: 1 for k in keys[1:]}}
+    assert inst.edge_rows.tolist() == [0] + [1] * len(keys[1:])
     assert inst.edge_tables[keys[0]].tolist() == [[0, 0], [0, 0]]
     assert PcspInstance(d.cfg, 2).edge_stack.shape == (1, 2, 2)
     # JSON tables are distinct lists; the edges a JSON instance leaves
@@ -1150,7 +1190,7 @@ def test_shared_tables_share_one_row():
     obj = {"domain_size": 2, "edge_costs": [{"src": s, "dst": t, "table": shared} for s, t in listed]}
     inst = instance_from_json(d.cfg, json.loads(json.dumps(obj)))
     assert inst.edge_stack.shape == (1 + len(listed), 2, 2)
-    assert {inst.edge_rows[k] for k in keys[::2]} == {0}
+    assert set(inst.edge_rows[::2].tolist()) == {0}
     assert inst.edge_tables[keys[0]].tolist() == [[0, 0], [0, 0]]
 
 
@@ -1401,12 +1441,25 @@ def test_no_vertex_costs_fit_a_graph_without_vertices(source):
     assert inst.vertex_costs.shape == (0, 2)
 
 
-def test_a_vertex_row_on_a_graph_without_vertices_names_vertex_0():
+def test_a_vertex_row_on_a_graph_without_vertices_is_refused_as_a_whole():
+    # the row past the last vertex names no vertex
     cfg = Cfg.from_json({"vertex_count": 0})
-    with pytest.raises(ValueError, match=r"^vertex 0 costs must be length 2$"):
+    with pytest.raises(ValueError, match=r"^vertex costs must be 0x2$"):
         PcspInstance(cfg, 2, None, [[]])
-    with pytest.raises(ValueError, match=r"^vertex 0 costs must be length 2$"):
+    with pytest.raises(ValueError, match=r"^vertex costs must be 0x2$"):
         instance_from_json(cfg, {"domain_size": 2, "vertex_costs": [[]]})
+
+
+@pytest.mark.parametrize("extra", [[1], [1, 2, 3], [[0], [1]]])
+def test_a_malformed_row_past_the_last_vertex_is_refused_as_a_whole(extra):
+    # "a" has 4 vertices: no vertex 4 to name
+    cfg = decompose_source("a").cfg
+    with pytest.raises(ValueError, match=r"^vertex costs must be 4x2$"):
+        PcspInstance(cfg, 2, None, [[0, 0]] * 4 + [extra])
+    # JSON cells must be costs, so a nested row is refused as its entry
+    message = "vertex_costs entry 4 must be a list of 2 costs" if isinstance(extra[0], list) else "vertex costs must be 4x2"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        instance_from_json(cfg, {"domain_size": 2, "vertex_costs": [[0, 0]] * 4 + [extra]})
 
 
 @pytest.mark.parametrize(

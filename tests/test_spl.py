@@ -1,14 +1,16 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import re
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import OverlappingGraphsError, atomic, loop, node_graph, parallel, raw_ids, series
+from reference import OverlappingGraphsError, atomic, decomposition, loop, node_graph, parallel, raw_ids, series
 from splcsp import gen, lang, spl
 from splcsp.spl import (
     Cfg,
@@ -391,6 +393,35 @@ def test_decompose_numbering_is_pinned(name):
     ]
     digest = hashlib.sha256(json.dumps(flat, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_DIGESTS[name]
+
+
+def test_decompose_memory_stays_flat():
+    # a generated 2000-statement program, 2718 nodes.  The flat arrays
+    # keep 429 B per node and `decompose` peaks at 1531 KiB; with a
+    # `DecompNode` and its tuples per node, and lists per vertex for the
+    # branch relabeling, it kept 642 B per node and peaked at 3068 KiB.
+    # Each bound allows 20% over the former.
+    tree = gen.gen_random_program(gen.GenConfig(seed=0, size=2000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        d = decompose(tree)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "nodes" not in d.__dict__
+    assert retained / len(d.kinds) < 515, f"{retained / len(d.kinds):.0f} B per node"
+    assert peak < 1837 * 1024, f"peak {peak / 1024:.0f} KiB"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_nodes_are_the_flat_arrays_field_for_field(seed):
+    # `nodes` is made from the arrays on first use, and storing those
+    # nodes flat again gives the same arrays
+    d = decompose(gen.gen_random_program(gen.GenConfig(seed=seed, size=40)))
+    assert "nodes" not in d.__dict__
+    assert decomposition(d.cfg, d.nodes) == d
+    assert d.nodes is d.nodes
 
 
 @pytest.mark.parametrize("tree", ["a", lang.Seq(lang.Epsilon("a"), 5)])
