@@ -182,7 +182,7 @@ def _cmd_lospre(args) -> int:
     decomp = _load_program(args.file)
     edge_costs = None
     if args.edge_cost != 1:
-        edge_costs = {(e.src, e.dst): args.edge_cost for e in decomp.cfg.edges}
+        edge_costs = dict.fromkeys(zip(decomp.cfg.src, decomp.cfg.dst), args.edge_cost)
     vertex_costs = None
     if args.vertex_cost:
         vertex_costs = {v: args.vertex_cost for v in range(decomp.cfg.vertex_count)}

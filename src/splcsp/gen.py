@@ -123,7 +123,7 @@ def random_instance(
     probability ``restrict_prob`` a random non-empty allowed set."""
     rng = np.random.default_rng(seed)
     d, n = domain_size, cfg.vertex_count
-    edge_costs = np.empty((len(cfg.edges), d, d))
+    edge_costs = np.empty((len(cfg.src), d, d))
     for tab in edge_costs:
         tab[...] = rng.integers(low, high + 1, size=(d, d))
         if inf_prob > 0:

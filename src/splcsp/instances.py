@@ -77,12 +77,13 @@ def build_bank_selection(cfg: Cfg, spec: BankSpec) -> PcspInstance:
             )
 
     if spec.taken_edges is None:
-        taken = {(e.src, e.dst) for e in cfg.edges if e.taken}
+        taken = cfg.taken
     else:
-        taken = set(spec.taken_edges)
-        stray = taken - cfg.edge_map.keys()
+        override = set(spec.taken_edges)
+        stray = override - set(zip(cfg.src, cfg.dst))
         if stray:
             raise ValueError(f"taken edges that are not edges of the graph: {sorted(stray)[:4]}")
+        taken = [key in override for key in zip(cfg.src, cfg.dst)]
 
     # staying put or forgetting the bank is free; switching to a known
     # bank needs a selection instruction on the edge
@@ -90,9 +91,7 @@ def build_bank_selection(cfg: Cfg, spec: BankSpec) -> PcspInstance:
     switches[:, bottom] = False
     c0 = np.where(switches, float(spec.c0), 0.0)
     c1 = np.where(switches, float(spec.c1), 0.0)
-    edge_costs = {
-        (e.src, e.dst): c1 if (e.src, e.dst) in taken else c0 for e in cfg.edges
-    }
+    edge_costs = [c1 if t else c0 for t in taken]
 
     allowed: dict[int, tuple[int, ...]] = {
         v: (bank,) for v, bank in spec.preassigned.items()
@@ -164,10 +163,9 @@ def build_lospre(cfg: Cfg, spec: LospreSpec) -> PcspInstance:
     # it in when lx = 1 and x does not invalidate; a needed value that
     # is not carried in is recomputed on the edge.
     tables: dict[tuple[bool, bool, int], np.ndarray] = {}
-    edge_costs = {}
-    for e in cfg.edges:
-        key = (e.src, e.dst)
-        rule = (e.src in inv, e.dst in spec.use, spec.edge_cost(key))
+    edge_costs = []
+    for u, w in zip(cfg.src, cfg.dst):
+        rule = (u in inv, w in spec.use, spec.edge_cost((u, w)))
         tab = tables.get(rule)
         if tab is None:
             invalidates, uses, price = rule
@@ -175,7 +173,7 @@ def build_lospre(cfg: Cfg, spec: LospreSpec) -> PcspInstance:
             tab = tables[rule] = np.array(
                 [recompute, recompute if invalidates else [0.0, 0.0]]
             )
-        edge_costs[key] = tab
+        edge_costs.append(tab)
     vertex = np.zeros((cfg.vertex_count, 2))
     vertex[:, 1] = [float(spec.vertex_cost(v)) for v in range(cfg.vertex_count)]
     return PcspInstance(cfg, 2, edge_costs, vertex)
@@ -188,11 +186,11 @@ def lospre_objective(cfg: Cfg, spec: LospreSpec, members: set[int]) -> int:
     """
     inv = spec.effective_invalidating(cfg)
     total = 0
-    for e in cfg.edges:
-        carries = e.src in members and e.src not in inv
-        needed = e.dst in spec.use or e.dst in members
+    for u, w in zip(cfg.src, cfg.dst):
+        carries = u in members and u not in inv
+        needed = w in spec.use or w in members
         if not carries and needed:
-            total += spec.edge_cost((e.src, e.dst))
+            total += spec.edge_cost((u, w))
     for v in members:
         total += spec.vertex_cost(v)
     return total
@@ -265,10 +263,10 @@ def _is_connected(vertices: frozenset[int], cfg: Cfg) -> bool:
     if len(vertices) <= 1:
         return True
     adjacent: dict[int, set[int]] = {v: set() for v in vertices}
-    for e in cfg.edges:
-        if e.src in adjacent and e.dst in adjacent:
-            adjacent[e.src].add(e.dst)
-            adjacent[e.dst].add(e.src)
+    for u, w in zip(cfg.src, cfg.dst):
+        if u in adjacent and w in adjacent:
+            adjacent[u].add(w)
+            adjacent[w].add(u)
     start = next(iter(vertices))
     seen = {start}
     stack = [start]
@@ -298,18 +296,23 @@ def build_regalloc(cfg: Cfg, spec: RegAllocSpec) -> PcspInstance:
     domain = enumerate_placements(variables, spec.registers)
     assert len(domain) == d
 
-    as_dicts = [dict(p) for p in domain]
+    # each placement's location code for each variable: -1 where the
+    # variable is not placed, `registers` where it is spilled.  A
+    # variable moves when it is placed at both ends, in other locations.
+    column = {var: k for k, var in enumerate(variables)}
+    where = np.full((d, len(variables)), -1)
+    for i, placement in enumerate(domain):
+        for var, loc in placement:
+            where[i, column[var]] = spec.registers if loc is SPILLED else loc
     switch = np.zeros((d, d))
-    for i, f0 in enumerate(as_dicts):
-        for j, f1 in enumerate(as_dicts):
-            moved = sum(
-                1 for var in f0 if var in f1 and f0[var] != f1[var]
-            )
-            switch[i, j] = spec.switch_cost * moved
+    for loc in where.T:
+        placed = loc >= 0
+        switch += placed[:, None] & placed & (loc[:, None] != loc)
+    switch *= spec.switch_cost
 
     # a vertex allows the placements whose support is its live set; each
     # distinct live set is matched once, and its vertices share one tuple
-    support = [frozenset(f) for f in as_dicts]
+    support = [frozenset(var for var, _ in p) for p in domain]
     placements: dict[frozenset[str], tuple[int, ...]] = {}
     allowed = {}
     for v in range(cfg.vertex_count):
@@ -318,8 +321,7 @@ def build_regalloc(cfg: Cfg, spec: RegAllocSpec) -> PcspInstance:
             placements[live] = tuple(i for i in range(d) if support[i] == live)
         allowed[v] = placements[live]
 
-    edge_costs = {(e.src, e.dst): switch for e in cfg.edges}
-    return PcspInstance(cfg, d, edge_costs, None, allowed)
+    return PcspInstance(cfg, d, [switch] * len(cfg.src), None, allowed)
 
 
 def regalloc_domain(spec: RegAllocSpec) -> tuple[tuple[tuple[str, int | None], ...], ...]:
@@ -343,5 +345,4 @@ def build_graph_coloring(graph: Cfg, colors: int) -> PcspInstance:
     if colors < 1:
         raise ValueError("need at least one color")
     conflict = np.where(np.eye(colors, dtype=bool), 1.0, 0.0)
-    edge_costs = {(e.src, e.dst): conflict for e in graph.edges}
-    return PcspInstance(graph, colors, edge_costs, None, None)
+    return PcspInstance(graph, colors, [conflict] * len(graph.src), None, None)

@@ -193,16 +193,6 @@ def walk(tree: Stmt) -> Iterator[Stmt]:
         stack.extend(reversed(children(node)))
 
 
-def count_nodes(tree: Stmt) -> int:
-    """Number of parse-tree nodes, sequencing nodes included."""
-    return sum(1 for _ in walk(tree))
-
-
-def count_statements(tree: Stmt) -> int:
-    """Number of statements: every node except sequencing nodes."""
-    return sum(1 for n in walk(tree) if not isinstance(n, Seq))
-
-
 # ---------------------------------------------------------------------------
 # closedness
 

@@ -32,10 +32,11 @@ An instance holds tables only, in one store: a read-only (r, d, d)
 stack of the distinct edge tables and a read-only array of each edge's
 row, in the order of the graph's edges, so edges given one table object
 share a row.  Edge and vertex costs each pass one conversion that
-checks the whole array at once.  The problem builders emit shared
-tables directly, `instance_from_json` hands its checked lists over as a
-mapping from edge key to table, and a callable cost is tabulated first,
-then checked like any table.
+checks the whole array at once.  The problem builders hand over one
+list of shared tables in edge order, read from the graph's edge arrays
+with no object per edge; `instance_from_json` hands its checked lists
+over as a mapping from edge key to table, and a callable cost is
+tabulated first, then checked like any table.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from heapq import heappush
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -191,9 +192,10 @@ class PcspInstance:
     """Costs and allowed sets for one graph.
 
     ``edge_costs`` may be a mapping from (src, dst) to a d x d table
-    (edges left out cost nothing), an (E, d, d) array in ``cfg.edges``
-    order, None for all-zero, or a callable ``f(edge, a, b)`` that is
-    tabulated first.  ``vertex_costs`` may be an (n, d) array, a
+    (edges left out cost nothing), a sequence of E tables or an
+    (E, d, d) array in the graph's edge order, None for all-zero, or a
+    callable ``f(edge, a, b)``, given each `Edge`, that is tabulated
+    first.  ``vertex_costs`` may be an (n, d) array, a
     mapping from vertex to a length-d vector, None, or a callable
     ``f(v, a)`` that is tabulated first.  ``allowed`` maps vertices to
     non-empty subsets of the domain; unlisted vertices allow everything.
@@ -201,12 +203,10 @@ class PcspInstance:
 
     The edge costs are stored once: ``edge_stack`` is a read-only
     (r, d, d) array of distinct tables, and ``edge_rows`` a read-only
-    intp array of each edge's row, in ``cfg.edges`` order.  Edges given
-    one table object share a row, so builders that reuse a few tables
-    keep r small; the array form gives every edge its own row.  A graph
-    that lists an edge twice charges each listing.  ``edge_tables``,
-    made on first use, maps each edge key to a read-only view of its
-    row.
+    intp array of each edge's row, in the graph's edge order.  Edges
+    given one table object share a row, so builders that hand over a
+    few tables keep r small; the array form gives every edge its own
+    row.  A graph that lists an edge twice charges each listing.
     """
 
     def __init__(
@@ -232,42 +232,42 @@ class PcspInstance:
             f = vertex_costs
             vertex_costs = [[f(v, a) for a in range(d)] for v in range(n)]
 
+        edge_count = len(cfg.src)
         if edge_costs is None:
             edge_costs = {}
         if isinstance(edge_costs, Mapping):
-            # one row per distinct table object, edges left out sharing
-            # `zero`; `given` holds the objects, so no id is reused
-            # meanwhile
+            # edges left out share `zero`
             zero = np.zeros((d, d))
-            given: list = []
-            row_of: dict[int, int] = {}
-            rows = []
-            found = 0
-            for e in cfg.edges:
-                tab = edge_costs.get((e.src, e.dst), zero)
-                found += tab is not zero
-                r = row_of.setdefault(id(tab), len(given))
-                if r == len(given):
-                    given.append(tab)
-                rows.append(r)
+            tabs = list(map(edge_costs.get, zip(cfg.src, cfg.dst), itertools.repeat(zero)))
             # every key is found once, unless the graph repeats an edge
-            if found != len(edge_costs):
-                extra = set(edge_costs) - {(e.src, e.dst) for e in cfg.edges}
+            if sum(map(operator.is_not, tabs, itertools.repeat(zero))) != len(edge_costs):
+                extra = set(edge_costs) - set(zip(cfg.src, cfg.dst))
                 if extra:
                     raise InstanceMismatchError(
                         f"edge costs given for non-edges: {sorted(extra)[:4]}"
                     )
+            edge_costs = tabs
+        if isinstance(edge_costs, Sequence) and len(edge_costs) == edge_count:
+            # one row per distinct table object, in order of first use;
+            # the sequence holds the objects, so no id is reused meanwhile
+            given: list = []
+            row_of: dict[int, int] = {}
+            rows = []
+            for tab in edge_costs:
+                r = row_of.setdefault(id(tab), len(given))
+                if r == len(given):
+                    given.append(tab)
+                rows.append(r)
             count = len(given)
         else:
-            given = edge_costs
-            rows = range(len(cfg.edges))
-            count = len(cfg.edges)
+            # an array, or anything else, which the conversion checks
+            given, rows, count = edge_costs, range(edge_count), edge_count
 
         def key(r: int) -> tuple[int, int]:
-            e = cfg.edges[rows.index(r)]
-            return e.src, e.dst
+            i = rows.index(r)
+            return cfg.src[i], cfg.dst[i]
 
-        whole = f"edge costs must be {len(cfg.edges)}x{d}x{d}"
+        whole = f"edge costs must be {edge_count}x{d}x{d}"
         stack = _cost_array(given, (count, d, d), lambda r: f"edge table {key(r)} must be {d}x{d}", whole)
         self.edge_rows = np.asarray(rows, dtype=np.intp)
         self.edge_rows.setflags(write=False)
@@ -320,13 +320,6 @@ class PcspInstance:
             sets[v] = shared.setdefault(vals, vals)
         self.allowed = tuple(sets)
 
-    @functools.cached_property
-    def edge_tables(self) -> dict[tuple[int, int], np.ndarray]:
-        """Edge key -> its (d, d) table, a read-only view of its row of
-        ``edge_stack``; keys that share a row share one view."""
-        views = list(self.edge_stack)
-        return {(e.src, e.dst): views[r] for e, r in zip(self.cfg.edges, self.edge_rows.tolist())}
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -359,14 +352,14 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
         if not 0 <= a < instance.d:
             raise ValueError(f"value {a} for vertex {v} leaves the domain")
         vals.append(a)
-    total = 0.0
-    for v in range(n):
-        if vals[v] not in instance.allowed[v]:
-            return INFINITY
-        total += instance.vertex_costs[v, vals[v]]
-    stack = instance.edge_stack
-    for e, r in zip(instance.cfg.edges, instance.edge_rows.tolist()):
-        total += stack[r, vals[e.src], vals[e.dst]]
+    if any(a not in allowed for a, allowed in zip(vals, instance.allowed)):
+        return INFINITY
+    # every partial sum is part of the total, at most 2**52, so exact
+    at = np.array(vals, dtype=np.intp)
+    cfg = instance.cfg
+    total = instance.vertex_costs[np.arange(n), at].sum() + instance.edge_stack[
+        instance.edge_rows, at[np.asarray(cfg.src)], at[np.asarray(cfg.dst)]
+    ].sum()
     return INFINITY if math.isinf(total) else int(total)
 
 
@@ -570,9 +563,10 @@ def _narrowed(instance: PcspInstance) -> tuple[np.ndarray, np.ndarray, np.ndarra
     vm = np.take_along_axis(instance.vertex_costs, at[sid], 1)
     vm[(np.arange(k) >= np.array(list(map(len, ids)))[:, None])[sid]] = INFINITY
     narrow: dict[tuple, int] = {}
+    cfg = instance.cfg
     rows = [
-        narrow.setdefault((r, sid[e.src], sid[e.dst]), len(narrow))
-        for e, r in zip(instance.cfg.edges, instance.edge_rows.tolist())
+        narrow.setdefault(key, len(narrow))
+        for key in zip(instance.edge_rows.tolist(), map(sid.__getitem__, cfg.src), map(sid.__getitem__, cfg.dst))
     ]
     r, su, sw = np.array(list(narrow), dtype=np.intp).reshape(-1, 3).T
     stack = instance.edge_stack[r[:, None, None], at[su][:, :, None], at[sw][:, None, :]]
@@ -581,13 +575,13 @@ def _narrowed(instance: PcspInstance) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _edge_order(a: Cfg, b: Cfg) -> list[int] | None:
     """None when ``a`` is ``b``; otherwise where each edge of ``b`` sits
-    in ``a.edges``, for graphs that hold the same edges in another
-    order.  Graphs that differ are refused."""
+    among the edges of ``a``, for graphs that hold the same edges in
+    another order.  Graphs that differ are refused."""
     if a is b:
         return None
-    at = {(e.src, e.dst): i for i, e in enumerate(a.edges)}
-    order = [at.get((e.src, e.dst), -1) for e in b.edges]
-    if a.vertex_count != b.vertex_count or sorted(order) != list(range(len(a.edges))):
+    at = {key: i for i, key in enumerate(zip(a.src, a.dst))}
+    order = [at.get(key, -1) for key in zip(b.src, b.dst)]
+    if a.vertex_count != b.vertex_count or sorted(order) != list(range(len(a.src))):
         raise InstanceMismatchError("instance and decomposition use different graphs")
     return order
 
@@ -845,8 +839,7 @@ def oracle_solve(
     pick = [vals[0] if len(vals) == 1 else slice(None) if len(vals) == d else np.array(vals) for vals in allowed]
     terms = [((v,), row[pick[v]]) for v, row in enumerate(instance.vertex_costs)]
     stack = instance.edge_stack
-    for e, r in zip(instance.cfg.edges, instance.edge_rows.tolist()):
-        u, w = e.src, e.dst
+    for u, w, r in zip(instance.cfg.src, instance.cfg.dst, instance.edge_rows.tolist()):
         if u == w:
             terms.append(((u,), stack[r].diagonal()[pick[u]]))
         else:
@@ -888,7 +881,7 @@ def as_csp(instance: PcspInstance) -> PcspInstance:
     constraints are simultaneously avoidable."""
     # shared rows stay shared
     hard = list(np.where(instance.edge_stack > 0, INFINITY, 0.0))
-    edges = {(e.src, e.dst): hard[r] for e, r in zip(instance.cfg.edges, instance.edge_rows.tolist())}
+    edges = list(map(hard.__getitem__, instance.edge_rows.tolist()))
     vertex = np.where(instance.vertex_costs > 0, INFINITY, 0.0)
     allowed = {v: vals for v, vals in enumerate(instance.allowed)}
     return PcspInstance(instance.cfg, instance.d, edges, vertex, allowed)
@@ -963,7 +956,7 @@ def _costs_to_json(arr: np.ndarray) -> list:
     return out.tolist()
 
 
-def _model_costs(model: dict, cfg: Cfg, d: int) -> Mapping | np.ndarray:
+def _model_costs(model: dict, cfg: Cfg, d: int) -> list | np.ndarray:
     """The edge costs of a cost model: one table shared by every edge,
     or an (E, d, d) array for ``random``, whose edge ``order`` draws
     from ``default_rng((seed, order))``."""
@@ -983,7 +976,7 @@ def _model_costs(model: dict, cfg: Cfg, d: int) -> Mapping | np.ndarray:
         # JSON numbers only: True would pass as 1, and NaN fails both tests
         if type(inf_prob) not in (int, float) or not 0 <= inf_prob <= 1:
             raise ValueError(f"random model inf_prob must be a number in [0, 1], got {inf_prob!r}")
-        out = np.empty((len(cfg.edges), d, d))
+        out = np.empty((len(cfg.src), d, d))
         for order, tab in enumerate(out):
             rng = np.random.default_rng((seed, order))
             tab[...] = rng.integers(low, high + 1, size=(d, d))
@@ -998,7 +991,7 @@ def _model_costs(model: dict, cfg: Cfg, d: int) -> Mapping | np.ndarray:
         tab = np.where(np.eye(d, dtype=bool), _cost_from_json(model.get("cost", 1), "edge_costs model cost"), 0.0)
     else:
         raise ValueError(f"unknown edge cost model: {kind!r}")
-    return {(e.src, e.dst): tab for e in cfg.edges}
+    return [tab] * len(cfg.src)
 
 
 def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
@@ -1066,8 +1059,8 @@ def instance_from_json(cfg: Cfg, obj: dict) -> PcspInstance:
 def instance_to_json(instance: PcspInstance) -> dict:
     tables = _costs_to_json(instance.edge_stack[instance.edge_rows])
     edges = [
-        {"src": e.src, "dst": e.dst, "table": tab}
-        for e, tab in zip(instance.cfg.edges, tables)
+        {"src": u, "dst": w, "table": tab}
+        for u, w, tab in zip(instance.cfg.src, instance.cfg.dst, tables)
     ]
     out: dict = {
         "domain_size": instance.d,

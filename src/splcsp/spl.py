@@ -17,19 +17,26 @@ operation that builds each subgraph:
   edges), B1->T (breaking out).
 
 The operations are stored flat, in arrays indexed by node, with each
-leaf's and loop's edges as positions in ``cfg.edges`` (see
-`Decomposition`); `Decomposition.nodes` makes one `DecompNode` per
-node on first use, for the JSON tree and the tests, and the solver
-never reads it.  ``tests/reference.py`` holds the series/parallel/loop
-graph algebra that ``decompose`` is checked against.
+leaf's and loop's edges as positions among the CFG's edges (see
+`Decomposition`), and the CFG is stored flat too, in arrays indexed by
+edge and a CSR of each vertex's source spans (see `Cfg`).
+`Decomposition.nodes`, `Cfg.edges` and `Cfg.spans` make one object per
+node, edge or vertex on first use, for the JSON tree, the demos and
+the tests; no solver or builder reads them.  ``tests/reference.py``
+holds the series/parallel/loop graph algebra that ``decompose`` is
+checked against.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import lang
 from .lang import Span, Stmt
@@ -48,7 +55,7 @@ class OpenProgramWarning(UserWarning):
     """Emitted when decomposing a program with top-level break/continue."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: int
     dst: int
@@ -57,29 +64,104 @@ class Edge:
     taken: bool = False
 
 
+# edge labels, by their code in `Cfg.labels`; a graph read from JSON
+# appends any other label it uses
+LABELS = (STMT, BREAK, CONTINUE, BRANCH, LOOP_ENTER, LOOP_EXIT, LOOP_BACK)
+_BRANCH_CODE = LABELS.index(BRANCH)
+
+
 # ---------------------------------------------------------------------------
 # control-flow graphs
 
 
 @dataclass
 class Cfg:
-    """A finished control-flow graph over dense vertex ids 0..n-1.
+    """A finished control-flow graph over dense vertex ids 0..n-1,
+    stored flat, with no object per edge or per vertex.
+
+    Edge i runs from ``src[i]`` to ``dst[i]``; ``labels[i]`` is the
+    position of its label in ``label_names``, ``taken[i]`` is 1 on a
+    taken branch, and ``texts[i]`` is its statement or guard text (the
+    parse tree's own string) or None.  Vertex v was produced by the
+    source positions ``span_lines[j]``, ``span_columns[j]`` for j from
+    ``span_starts[v]`` up to ``span_starts[v + 1]``.  ``edges``,
+    ``spans`` and ``edge_map`` are derived from these on first use; the
+    solver, the builders and the JSON and DOT writers read the arrays.
+    `from_edges` builds a graph from `Edge` objects.
 
     ``entry``/``exit`` and ``specials`` are None for ad-hoc digraphs
     (e.g. graph-coloring inputs) that did not come from a program.
-    ``spans`` maps a vertex to the source positions that produced it.
     """
 
     vertex_count: int
-    edges: tuple[Edge, ...]
+    src: array
+    dst: array
+    labels: bytes
+    taken: bytes
+    texts: list[str | None]
+    span_starts: array
+    span_lines: array
+    span_columns: array
     entry: int | None = None
     exit: int | None = None
     specials: tuple[int, int, int, int] | None = None
-    spans: dict[int, tuple[Span, ...]] = field(default_factory=dict)
+    label_names: tuple[str, ...] = LABELS
+
+    @classmethod
+    def from_edges(
+        cls,
+        vertex_count: int,
+        edges: Sequence[Edge],
+        entry: int | None = None,
+        exit: int | None = None,
+        specials: tuple[int, int, int, int] | None = None,
+        spans: Mapping[int, Sequence[Span]] | None = None,
+    ) -> "Cfg":
+        """The graph with ``edges``, in their order, stored flat;
+        ``spans`` maps a vertex to the source positions that produced
+        it."""
+        names = list(dict.fromkeys((*LABELS, *(e.label for e in edges))))
+        code = {name: i for i, name in enumerate(names)}
+        spans = spans or {}
+        runs = [spans.get(v, ()) for v in range(vertex_count)]
+        return cls(
+            vertex_count,
+            array("i", [e.src for e in edges]),
+            array("i", [e.dst for e in edges]),
+            bytes(code[e.label] for e in edges),
+            bytes(bool(e.taken) for e in edges),
+            [e.text for e in edges],
+            array("i", itertools.accumulate(map(len, runs), initial=0)),
+            array("i", [line for run in runs for line, _ in run]),
+            array("i", [column for run in runs for _, column in run]),
+            entry,
+            exit,
+            specials,
+            tuple(names),
+        )
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge as an `Edge`, made on first use."""
+        names = self.label_names
+        return tuple(
+            Edge(u, w, names[label], text, bool(taken))
+            for u, w, label, text, taken in zip(self.src, self.dst, self.labels, self.texts, self.taken)
+        )
+
+    @functools.cached_property
+    def spans(self) -> dict[int, tuple[Span, ...]]:
+        """Each vertex that has source positions -> those positions,
+        made on first use."""
+        return {v: tuple(spans) for v in range(self.vertex_count) if (spans := self._spans_of(v))}
 
     @functools.cached_property
     def edge_map(self) -> dict[tuple[int, int], Edge]:
         return {(e.src, e.dst): e for e in self.edges}
+
+    def _spans_of(self, v: int) -> list[Span]:
+        lo, hi = self.span_starts[v], self.span_starts[v + 1]
+        return list(zip(self.span_lines[lo:hi], self.span_columns[lo:hi]))
 
     def to_json(self) -> dict:
         roles: dict[int, list[str]] = {}
@@ -91,15 +173,17 @@ class Cfg:
             entry: dict = {"id": v}
             if v in roles:
                 entry["roles"] = roles[v]
-            if v in self.spans:
-                entry["spans"] = [list(s) for s in self.spans[v]]
+            spans = self._spans_of(v)
+            if spans:
+                entry["spans"] = [list(span) for span in spans]
             vertices.append(entry)
         edges = []
-        for e in self.edges:
-            obj: dict = {"src": e.src, "dst": e.dst, "label": e.label}
-            if e.text is not None:
-                obj["text"] = e.text
-            if e.taken:
+        names = self.label_names
+        for u, w, label, text, taken in zip(self.src, self.dst, self.labels, self.texts, self.taken):
+            obj: dict = {"src": u, "dst": w, "label": names[label]}
+            if text is not None:
+                obj["text"] = text
+            if taken:
                 obj["taken"] = True
             edges.append(obj)
         out: dict = {
@@ -153,6 +237,8 @@ class Cfg:
                 raise ValueError(f"edge ({e.src!r}, {e.dst!r}): endpoints must be integers")
             if not (0 <= e.src < n and 0 <= e.dst < n):
                 raise ValueError(f"edge ({e.src}, {e.dst}) out of range for {n} vertices")
+            if type(e.label) is not str:
+                raise ValueError(f"edge ({e.src}, {e.dst}): label must be a string, got {e.label!r}")
         spans: dict[int, tuple[Span, ...]] = {}
         for v in obj.get("vertices", []):
             if not isinstance(v, dict):
@@ -162,14 +248,16 @@ class Cfg:
             vid, pairs = v.get("id"), v["spans"]
             if type(vid) is not int or not 0 <= vid < n:
                 raise ValueError(f"vertex {vid!r}: id must be an integer below {n}")
+            # each position is stored in a C int
             if not isinstance(pairs, list) or not all(
-                isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in pairs
+                isinstance(p, list) and len(p) == 2 and all(type(x) is int and abs(x) < 1 << 31 for x in p)
+                for p in pairs
             ):
-                raise ValueError(f"vertex {vid}: spans must be [line, column] integer pairs, got {pairs!r}")
+                raise ValueError(f"vertex {vid}: spans must be [line, column] pairs of 32-bit integers, got {pairs!r}")
             spans[vid] = tuple((l, c) for l, c in pairs)
-        return cls(
+        return cls.from_edges(
             n,
-            tuple(edges),
+            edges,
             obj.get("entry"),
             obj.get("exit"),
             tuple(specials) if specials is not None else None,
@@ -186,12 +274,13 @@ class Cfg:
             shape = shape_for.get(v)
             attrs = f' [shape={shape}]' if shape else ""
             lines.append(f"  {v}{attrs};")
-        for e in self.edges:
-            label = _dot_escape(e.text if e.text is not None else e.label)
+        names = self.label_names
+        for u, w, label, text, taken in zip(self.src, self.dst, self.labels, self.texts, self.taken):
+            shown = _dot_escape(text if text is not None else names[label])
             style = ""
-            if e.label == BRANCH and not e.taken:
+            if names[label] == BRANCH and not taken:
                 style = ", style=dashed"
-            lines.append(f'  {e.src} -> {e.dst} [label="{label}"{style}];')
+            lines.append(f'  {u} -> {w} [label="{shown}"{style}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -234,8 +323,8 @@ class Decomposition:
     The tree is stored flat, one entry per node in each array:
     ``kinds`` holds a `KINDS` code, ``left`` and ``right`` the children
     (-1 where there is none; a loop's one child is its left), and the
-    four arrays of ``specials`` the S, T, B and C.  ``edges``
-    holds positions in ``cfg.edges``, leaves and loops in node order: a
+    four arrays of ``specials`` the S, T, B and C.  ``edges`` holds
+    positions in the CFG's edge arrays, leaves and loops in node order: a
     leaf's one edge, and a loop's S->T, then S->S1, T1->S, C1->S and
     B1->T.  ``spans`` and ``texts`` share the parse tree's objects: an
     epsilon's text, or a parallel's or loop's guard, is its text, and
@@ -315,13 +404,15 @@ def decompose(tree: Stmt) -> Decomposition:
     # (src, dst) -> position; the first edge wins, so a collapsed edge
     # keeps its left operand's label and text
     edge_at: dict[tuple[int, int], int] = {}
-    labels: list[str] = []
+    src, dst, labels = array("i"), array("i"), bytearray()
     edge_texts: list[str | None] = []
 
-    def position(key: tuple[int, int], label: str, text: str | None) -> int:
-        at = edge_at.setdefault(key, len(labels))
+    def position(u: int, w: int, label: str, text: str | None) -> int:
+        at = edge_at.setdefault((u, w), len(labels))
         if at == len(labels):
-            labels.append(label)
+            src.append(u)
+            dst.append(w)
+            labels.append(LABELS.index(label))
             edge_texts.append(text)
         return at
 
@@ -331,7 +422,8 @@ def decompose(tree: Stmt) -> Decomposition:
     spans: list[Span] = []
     texts: list[str | None] = []
     collapsed = bytearray()
-    vertex_spans: list[list[Span]] = []
+    # the specials of each atom and loop, and its line and column
+    owners, created_at = array("i"), array("i")
     # per finished subtree: its node and which of the edges S->T (1),
     # S->B (2), S->C (4) it has, the only ones a parallel node collapses
     results: list[tuple[int, int]] = []
@@ -362,7 +454,6 @@ def decompose(tree: Stmt) -> Decomposition:
                 if ids[k] < 0:
                     ids[k] = vertex_count
                     vertex_count += 1
-                    vertex_spans.append([])
         S, T, B, C = ids[s], ids[t], ids[b], ids[c]
         l = r = -1
         text = None
@@ -379,15 +470,15 @@ def decompose(tree: Stmt) -> Decomposition:
             dups, mask = lmask & rmask, lmask | rmask
         elif isinstance(node, lang.Epsilon):
             kind, text, mask = EPSILON_NODE, node.text, 1
-            edges.append(position((S, T), STMT, node.text))
+            edges.append(position(S, T, STMT, node.text))
         elif isinstance(node, lang.Break):
             kind, mask = BREAK_NODE, 2
-            edges.append(position((S, B), BREAK, None))
+            edges.append(position(S, B, BREAK, None))
             if b == 2:
                 open_jumps.append(node.span)
         elif isinstance(node, lang.Continue):
             kind, mask = CONTINUE_NODE, 4
-            edges.append(position((S, C), CONTINUE, None))
+            edges.append(position(S, C, CONTINUE, None))
             if c == 3:
                 open_jumps.append(node.span)
         elif isinstance(node, lang.While):
@@ -396,21 +487,21 @@ def decompose(tree: Stmt) -> Decomposition:
             kind, text, mask = LOOP_NODE, node.guard, 1
             # the edges enter the map in this order, and the held S->T
             # is listed first
-            enter = position((S, s1), LOOP_ENTER, node.guard)
+            enter = position(S, s1, LOOP_ENTER, node.guard)
             edges.extend(
                 (
-                    position((S, T), LOOP_EXIT, node.guard),
+                    position(S, T, LOOP_EXIT, node.guard),
                     enter,
-                    position((t1, S), LOOP_BACK, None),
-                    position((c1, S), LOOP_BACK, None),
-                    position((b1, T), LOOP_EXIT, None),
+                    position(t1, S, LOOP_BACK, None),
+                    position(c1, S, LOOP_BACK, None),
+                    position(b1, T, LOOP_EXIT, None),
                 )
             )
         else:
             raise TypeError(f"not a parse tree node: {node!r}")
         if creates:
-            for v in (S, T, B, C):
-                vertex_spans[v].append(node.span)
+            owners.extend((S, T, B, C))
+            created_at.extend(node.span)
         results.append((len(kinds), mask))
         kinds.append(kind)
         left.append(l)
@@ -436,29 +527,43 @@ def decompose(tree: Stmt) -> Decomposition:
     # branches; the one to the lowest target falls through
     degree = bytearray(vertex_count)  # counted up to 2
     lowest = array("i", [vertex_count]) * vertex_count
-    for src, dst in edge_at:
-        if degree[src] < 2:
-            degree[src] += 1
-        if dst < lowest[src]:
-            lowest[src] = dst
-    final_edges = []
-    for (src, dst), label, text in zip(edge_at, labels, edge_texts):
-        if degree[src] >= 2:
-            final_edges.append(Edge(src, dst, BRANCH, text, taken=dst != lowest[src]))
-        else:
-            final_edges.append(Edge(src, dst, label, text))
-    del edge_at, labels, edge_texts
-    # each vertex's spans as a tuple, its list freed as it goes
-    vertex_spans.reverse()
-    by_vertex = {v: tuple(vertex_spans.pop()) for v in range(vertex_count)}
+    del edge_at
+    for u, w in zip(src, dst):
+        if degree[u] < 2:
+            degree[u] += 1
+        if w < lowest[u]:
+            lowest[u] = w
+    taken = bytearray(len(labels))
+    for i, (u, w) in enumerate(zip(src, dst)):
+        if degree[u] >= 2:
+            labels[i] = _BRANCH_CODE
+            taken[i] = w != lowest[u]
 
     root = ss[-1], ts[-1], bs[-1], cs[-1]
     cfg = Cfg(
-        vertex_count=vertex_count,
-        edges=tuple(final_edges),
+        vertex_count,
+        src,
+        dst,
+        bytes(labels),
+        bytes(taken),
+        edge_texts,
+        *_vertex_spans(vertex_count, owners, created_at),
         entry=root[0],
         exit=root[1],
         specials=root,
-        spans=by_vertex,
     )
     return Decomposition(cfg, bytes(kinds), left, right, specials, edges, spans, texts, bytes(collapsed))
+
+
+def _vertex_spans(vertex_count: int, owners: array, created_at: array) -> tuple[array, array, array]:
+    """`Cfg`'s span arrays.  ``owners`` holds the four specials of each
+    atom and loop in node order, and ``created_at`` each one's line and
+    column; a vertex's spans are those of the nodes that own it, in
+    node order."""
+    owner = np.frombuffer(owners, np.intc)
+    # a stable sort by vertex; each (line, column) pair moves as one
+    # 8-byte item
+    at = np.frombuffer(created_at, np.int64)[owner.argsort(kind="stable") >> 2].view(np.intc)
+    starts = array("i", [0])
+    starts.frombytes(np.bincount(owner, minlength=vertex_count).cumsum(dtype=np.intc).tobytes())
+    return starts, array("i", at[0::2].tobytes()), array("i", at[1::2].tobytes())

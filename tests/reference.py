@@ -6,11 +6,14 @@ replays a decomposition with it, as the reference for `decompose`,
 which builds the CFG in one post-order pass.  `decomposition` stores a
 list of `DecompNode`s flat, as `decompose` does, and `dp_tables` gives
 every node's full DP table, for comparison with exhaustive search.
+The counts of a parse tree and an instance's tables by edge key are
+read only by the tests, so they live here too.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -18,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from splcsp import solver
+from splcsp.lang import Seq, Stmt, walk
 from splcsp.solver import PcspInstance
 from splcsp.spl import (
     BREAK,
@@ -265,6 +269,32 @@ def decomposition(cfg: Cfg, nodes: Sequence[DecompNode]) -> Decomposition:
         [node.text if node.kind == "epsilon" else node.guard for node in nodes],
         bytes(collapsed),
     )
+
+
+def count_nodes(tree: Stmt) -> int:
+    """Number of parse-tree nodes, sequencing nodes included."""
+    return sum(1 for _ in walk(tree))
+
+
+def count_statements(tree: Stmt) -> int:
+    """Number of statements: every node except sequencing nodes."""
+    return sum(1 for n in walk(tree) if not isinstance(n, Seq))
+
+
+_EDGE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def edge_tables(instance: PcspInstance) -> dict[tuple[int, int], np.ndarray]:
+    """Edge key -> its (d, d) table, a read-only view of its row of
+    ``instance.edge_stack``; keys that share a row share one view.  The
+    dict is made once per instance."""
+    tables = _EDGE_TABLES.get(instance)
+    if tables is None:
+        views = list(instance.edge_stack)
+        cfg = instance.cfg
+        keys = zip(cfg.src, cfg.dst)
+        tables = _EDGE_TABLES[instance] = {key: views[r] for key, r in zip(keys, instance.edge_rows.tolist())}
+    return tables
 
 
 def allowed_mask(instance: PcspInstance) -> np.ndarray:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from reference import count_statements
 from splcsp import lang, solver
 from splcsp.cli import run_cli
 from splcsp.solver import Solution
@@ -570,7 +571,7 @@ def test_gen_subcommand(capsys):
     rc, out, _ = run(capsys, "gen", "--seed", "11", "--size", "25")
     assert rc == 0
     tree = lang.parse_program(out)
-    assert lang.count_statements(tree) == 25
+    assert count_statements(tree) == 25
     rc, again, _ = run(capsys, "gen", "--seed", "11", "--size", "25")
     assert again == out
 
@@ -673,4 +674,4 @@ def test_module_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
-    assert lang.count_statements(lang.parse_program(proc.stdout)) == 4
+    assert count_statements(lang.parse_program(proc.stdout)) == 4

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import count_statements, edge_tables
 from splcsp import lang
 from splcsp.gen import GenConfig, gen_random_program, random_instance
 from splcsp.spl import decompose
@@ -30,7 +31,7 @@ def test_rejects_empty_budget():
 @given(st.integers(0, 100_000), st.integers(1, 60))
 def test_exact_size_closed_and_round_trip(seed, size):
     tree = gen_random_program(GenConfig(seed=seed, size=size))
-    assert lang.count_statements(tree) == size
+    assert count_statements(tree) == size
     assert lang.check_closed(tree).is_closed
     assert lang.parse_program(lang.pretty_print(tree)) == tree
 
@@ -38,11 +39,11 @@ def test_exact_size_closed_and_round_trip(seed, size):
 @pytest.mark.parametrize("size", [1, 10, 200, 2000])
 def test_large_sizes_round_trip_via_text(size):
     tree = gen_random_program(GenConfig(seed=99, size=size))
-    assert lang.count_statements(tree) == size
+    assert count_statements(tree) == size
     text = lang.pretty_print(tree)
     again = lang.parse_program(text)
     assert lang.pretty_print(again) == text
-    assert lang.count_statements(again) == size
+    assert count_statements(again) == size
 
 
 def test_deterministic_per_seed():
@@ -57,7 +58,7 @@ def test_deterministic_per_seed():
 def test_depth_stays_bounded():
     cfg = GenConfig(seed=7, size=500, max_depth=5)
     tree = gen_random_program(cfg)
-    assert lang.count_statements(tree) == 500
+    assert count_statements(tree) == 500
     assert container_nesting(tree) <= cfg.max_depth + 2
     assert lang.parse_program(lang.pretty_print(tree)) == tree
 
@@ -91,12 +92,12 @@ def test_random_instance_deterministic():
     b = random_instance(cfg, 3, seed=5)
     assert (a.vertex_costs == b.vertex_costs).all()
     assert a.allowed == b.allowed
-    for key in a.edge_tables:
-        ta, tb = a.edge_tables[key], b.edge_tables[key]
+    for key in edge_tables(a):
+        ta, tb = edge_tables(a)[key], edge_tables(b)[key]
         assert ((ta == tb) | (np.isinf(ta) & np.isinf(tb))).all()
     c = random_instance(cfg, 3, seed=6)
     assert any(
-        not (a.edge_tables[k] == c.edge_tables[k]).all() for k in a.edge_tables
+        not (edge_tables(a)[k] == edge_tables(c)[k]).all() for k in edge_tables(a)
     )
 
 
@@ -106,7 +107,7 @@ def test_random_instance_ranges():
                            restrict_prob=0.0)
     assert inst.d == 4
     assert ((inst.vertex_costs >= 2) & (inst.vertex_costs <= 6)).all()
-    for tab in inst.edge_tables.values():
+    for tab in edge_tables(inst).values():
         assert np.isfinite(tab).all()
         assert ((tab >= 2) & (tab <= 6)).all()
     assert all(vals == tuple(range(4)) for vals in inst.allowed)
@@ -115,7 +116,7 @@ def test_random_instance_ranges():
 def test_random_instance_extremes():
     cfg = small_cfg()
     inst = random_instance(cfg, 2, seed=9, inf_prob=1.0, restrict_prob=1.0)
-    for tab in inst.edge_tables.values():
+    for tab in edge_tables(inst).values():
         assert np.isinf(tab).all()
     assert all(1 <= len(vals) <= 2 for vals in inst.allowed)
     assert all(vals == tuple(sorted(vals)) for vals in inst.allowed)

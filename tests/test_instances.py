@@ -2,8 +2,10 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
+from reference import edge_tables
 from splcsp import lang
 from splcsp.instances import (
     SPILLED,
@@ -67,7 +69,7 @@ def test_bank_cost_tables():
     taken = next(e for e in d.cfg.edges if e.taken)
     plain = next(e for e in d.cfg.edges if not e.taken)
     for edge, switch in ((plain, 1), (taken, 3)):
-        tab = inst.edge_tables[(edge.src, edge.dst)]
+        tab = edge_tables(inst)[(edge.src, edge.dst)]
         for b0, b1 in itertools.product(range(3), repeat=2):
             if b1 == b0 or b1 == 2:
                 assert tab[b0, b1] == 0
@@ -239,7 +241,7 @@ def test_lospre_entry_and_exit_always_invalidate():
     # edges out of the entry always pay when the value is needed
     inst = build_lospre(d.cfg, LospreSpec(use=frozenset({d.cfg.exit})))
     entry_edge = next(e for e in d.cfg.edges if e.src == d.cfg.entry)
-    tab = inst.edge_tables[(entry_edge.src, entry_edge.dst)]
+    tab = edge_tables(inst)[(entry_edge.src, entry_edge.dst)]
     assert tab[1, 1] == 1  # membership at the entry does not help
 
 
@@ -256,7 +258,7 @@ def test_lospre_cost_overrides():
     assert spec.vertex_cost(e1[1]) == 2
     assert spec.vertex_cost(0) == 0
     inst = build_lospre(d.cfg, spec)
-    assert inst.edge_tables[e2][0, 0] == 7
+    assert edge_tables(inst)[e2][0, 0] == 7
     assert inst.vertex_costs[e1[1], 1] == 2
     assert inst.vertex_costs[e1[1], 0] == 0
 
@@ -319,7 +321,7 @@ def test_lospre_tables_follow_the_spec_rule(priced):
             carries = lx == 1 and src not in inv
             needed = dst in spec.use or ly == 1
             want = price if needed and not carries else 0
-            assert inst.edge_tables[src, dst][lx, ly] == want
+            assert edge_tables(inst)[src, dst][lx, ly] == want
     assert len(cases) == 4
     assert inst.vertex_costs.tolist() == [[0, 10 + v] for v in range(n)]
 
@@ -386,7 +388,7 @@ def test_regalloc_switch_costs():
     assert inst.d == 14
     domain = regalloc_domain(spec)
     idx = {p: i for i, p in enumerate(domain)}
-    tab = inst.edge_tables[(0, 1)]
+    tab = edge_tables(inst)[(0, 1)]
     both = idx[(("x", 0), ("y", 1))]
     swapped = idx[(("x", 1), ("y", 0))]
     spill_y = idx[(("x", 0), ("y", SPILLED))]
@@ -396,6 +398,23 @@ def test_regalloc_switch_costs():
     assert tab[both, both] == 0
     assert tab[only_x, both] == 0  # y was not live before, no switch
     assert tab[idx[()], both] == 0
+
+
+@pytest.mark.parametrize("variables", range(1, 5))
+@pytest.mark.parametrize("registers", range(3))
+def test_regalloc_switch_table_is_its_definition_bit_for_bit(variables, registers):
+    # a variable moves when it is placed at both ends, in other
+    # locations; the switch table prices each move at switch_cost
+    names = "wxyz"[:variables]
+    d = decompose_source("a")
+    live = frozenset((d.cfg.src[0], d.cfg.dst[0]))
+    spec = RegAllocSpec({var: live for var in names}, registers, switch_cost=3)
+    inst = build_regalloc(d.cfg, spec)
+    domain = [dict(p) for p in regalloc_domain(spec)]
+    want = [[3.0 * sum(var in q and p[var] != q[var] for var in p) for q in domain] for p in domain]
+    got = inst.edge_stack[inst.edge_rows[0]]
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_regalloc_allowed_sets_follow_liveness():
@@ -522,7 +541,7 @@ def test_coloring_single_vertex():
 def test_coloring_tables_and_validation():
     g = triangle_plus_tail()
     inst = build_graph_coloring(g, 2)
-    for tab in inst.edge_tables.values():
+    for tab in edge_tables(inst).values():
         assert tab.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(ValueError):
         build_graph_coloring(g, 0)

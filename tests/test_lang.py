@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import count_nodes, count_statements
 from splcsp import lang
 from splcsp.lang import (
     Break,
@@ -13,8 +14,6 @@ from splcsp.lang import (
     Seq,
     While,
     check_closed,
-    count_nodes,
-    count_statements,
     parse_program,
     pretty_print,
 )

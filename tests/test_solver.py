@@ -11,9 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import allowed_mask, decomposition, dp_tables, node_graph
+from reference import allowed_mask, decomposition, dp_tables, edge_tables, node_graph
 from splcsp import gen, lang, solver
-from splcsp.instances import BankSpec, LospreSpec, build_bank_selection, build_graph_coloring, build_lospre
+from splcsp.instances import (
+    BankSpec,
+    LospreSpec,
+    RegAllocSpec,
+    build_bank_selection,
+    build_graph_coloring,
+    build_lospre,
+    build_regalloc,
+)
 from splcsp.solver import (
     INFINITY,
     BudgetExceededError,
@@ -82,6 +90,24 @@ def test_evaluate_hits_infinite_entries():
     inst = PcspInstance(d.cfg, 2, edge_costs={(0, 1): [[INFINITY, 0], [0, 0]]})
     assert evaluate(inst, {0: 0, 1: 0, 2: 0, 3: 0}) == INFINITY
     assert evaluate(inst, {0: 0, 1: 1, 2: 0, 3: 0}) == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_evaluate_is_the_exact_sum_of_its_terms(seed):
+    # `evaluate` gathers and sums the terms in numpy; with the largest
+    # finite costs adding up to nearly 2**52 every partial sum is still
+    # exact, so it equals the sum in Python integers term by term
+    d = decompose(gen.gen_random_program(gen.GenConfig(seed=seed, size=30)))
+    cfg = d.cfg
+    high = (1 << 52) // (len(cfg.src) + cfg.vertex_count)
+    inst = gen.random_instance(cfg, 3, seed=seed, low=high - 40, high=high, inf_prob=0.02, restrict_prob=0.3)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        x = {v: int(rng.choice(vals)) for v, vals in enumerate(inst.allowed)}
+        terms = [inst.vertex_costs[v, a] for v, a in x.items()]
+        terms += [tab[x[u], x[w]] for (u, w), tab in edge_tables(inst).items()]
+        want = INFINITY if any(map(math.isinf, terms)) else sum(map(int, terms))
+        assert evaluate(inst, x) == want
 
 
 def test_evaluate_refuses_values_that_are_not_integers():
@@ -160,9 +186,9 @@ def test_callable_costs_equal_their_table_form():
         },
         [[vertex(v, a) for a in range(3)] for v in range(d.cfg.vertex_count)],
     )
-    assert called.edge_tables.keys() == tabled.edge_tables.keys()
-    for key, tab in tabled.edge_tables.items():
-        assert called.edge_tables[key].tolist() == tab.tolist()
+    assert edge_tables(called).keys() == edge_tables(tabled).keys()
+    for key, tab in edge_tables(tabled).items():
+        assert edge_tables(called)[key].tolist() == tab.tolist()
     assert called.vertex_costs.tolist() == tabled.vertex_costs.tolist()
 
 
@@ -193,11 +219,32 @@ def test_an_instance_on_an_equal_graph_solves_alike(seed):
     want = solve(inst, d)
     shuffled = list(d.cfg.edges)
     np.random.default_rng(seed).shuffle(shuffled)
-    for cfg in (dataclasses.replace(d.cfg, edges=tuple(shuffled)), Cfg.from_json(d.cfg.to_json())):
-        other = PcspInstance(cfg, 3, inst.edge_tables, inst.vertex_costs, dict(enumerate(inst.allowed)))
+    for cfg in (Cfg.from_edges(d.cfg.vertex_count, shuffled), Cfg.from_json(d.cfg.to_json())):
+        other = PcspInstance(cfg, 3, edge_tables(inst), inst.vertex_costs, dict(enumerate(inst.allowed)))
         got = solve(other, d)
         assert got.to_json() == want.to_json()
         assert evaluate(other, got.assignment) == got.min_cost == evaluate(inst, got.assignment)
+
+
+def test_cfg_holds_no_object_per_edge():
+    # `Cfg.edges` and `Cfg.spans` are made on first use; no layer from
+    # `decompose` to the answer asks for them
+    d = decompose(gen.gen_random_program(gen.GenConfig(seed=6, size=8)))
+    cfg = d.cfg
+    n = cfg.vertex_count
+    lospre = build_lospre(cfg, LospreSpec(use=frozenset(range(0, n, 3))))
+    bank = build_bank_selection(cfg, BankSpec(2, preassigned={1: 0}))
+    for inst in (lospre, bank):
+        sol = solve(inst, d)
+    live = frozenset((cfg.src[0], cfg.dst[0]))
+    build_regalloc(cfg, RegAllocSpec({"x": live, "y": live}, 1))
+    keyed = PcspInstance(cfg, 2, {(cfg.src[0], cfg.dst[0]): [[0, 1], [1, 0]]})
+    obj = {"domain_size": 2, "edge_costs": [{"src": cfg.src[1], "dst": cfg.dst[1], "table": [[0, 1], [2, 0]]}]}
+    read = instance_from_json(cfg, obj)
+    assert evaluate(bank, sol.assignment) == sol.min_cost
+    for inst in (keyed, read):
+        assert oracle_solve(inst).min_cost == 0
+    assert "edges" not in cfg.__dict__ and "spans" not in cfg.__dict__
 
 
 def test_solving_never_makes_the_decomposition_nodes():
@@ -302,7 +349,7 @@ def brute_node_table(inst, decomp, i):
             value.update(zip(internal, combo))
             total = 0.0
             for key in g.edges:
-                total += inst.edge_tables[key][value[key[0]], value[key[1]]]
+                total += edge_tables(inst)[key][value[key[0]], value[key[1]]]
             for v in internal:
                 total += inst.vertex_costs[v, value[v]]
             best = min(best, total)
@@ -820,7 +867,7 @@ def test_straight_line_at_large_domain_matches_viterbi():
     best = cost[v]
     while v in succ:
         w = succ[v]
-        best = (best[:, None] + inst.edge_tables[(v, w)]).min(axis=0) + cost[w]
+        best = (best[:, None] + edge_tables(inst)[(v, w)]).min(axis=0) + cost[w]
         v = w
     assert v == cfg.exit
     touched = {e.src for e in cfg.edges} | {e.dst for e in cfg.edges}
@@ -913,7 +960,7 @@ def test_shared_edge_table_is_validated_once_and_stays_separate():
     edge_costs = {k: shared for k in keys[:-1]}
     edge_costs[keys[-1]] = twin
     inst = PcspInstance(d.cfg, 2, edge_costs)
-    tabs = [inst.edge_tables[k] for k in keys]
+    tabs = [edge_tables(inst)[k] for k in keys]
     assert all(tab is tabs[0] for tab in tabs[:-1])
     assert tabs[-1] is not tabs[0]
     assert tabs[0] is not shared
@@ -921,9 +968,21 @@ def test_shared_edge_table_is_validated_once_and_stays_separate():
         assert not tab.flags.writeable
         assert tab.tolist() == [[0.0, 2.0], [3.0, 0.0]]
     shared[0, 1] = 9.0
-    assert inst.edge_tables[keys[0]][0, 1] == 2.0
+    assert edge_tables(inst)[keys[0]][0, 1] == 2.0
     with pytest.raises(ValueError):
         PcspInstance(d.cfg, 2, {k: [[0, -1], [0, 0]] for k in keys})
+
+
+def test_a_sequence_of_tables_shares_rows_by_object():
+    # the form the builders hand over: one table per edge, in edge order
+    d = decompose_source("a; b; c")
+    shared = np.array([[0.0, 2.0], [3.0, 0.0]])
+    twin = shared.copy()
+    inst = PcspInstance(d.cfg, 2, [shared, twin, shared])
+    assert inst.edge_rows.tolist() == [0, 1, 0]
+    assert inst.edge_stack.tolist() == [shared.tolist()] * 2
+    keyed = PcspInstance(d.cfg, 2, dict(zip(zip(d.cfg.src, d.cfg.dst), [shared, twin, shared])))
+    assert keyed.edge_rows.tolist() == [0, 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +992,7 @@ def test_shared_edge_table_is_validated_once_and_stays_separate():
 def test_as_csp_tables():
     inst, _ = single_edge_instance(allowed={0: [1]})
     hard = as_csp(inst)
-    tab = hard.edge_tables[(0, 1)]
+    tab = edge_tables(hard)[(0, 1)]
     assert tab.tolist() == [[0.0, INFINITY], [INFINITY, INFINITY]]
     assert hard.vertex_costs[0].tolist() == [INFINITY, 0.0]
     assert hard.allowed == inst.allowed
@@ -958,8 +1017,8 @@ def test_instance_json_round_trip():
     obj = instance_to_json(inst)
     back = instance_from_json(d.cfg, obj)
     assert back.d == inst.d
-    for key, tab in inst.edge_tables.items():
-        assert (back.edge_tables[key] == tab).all()
+    for key, tab in edge_tables(inst).items():
+        assert (edge_tables(back)[key] == tab).all()
     assert (back.vertex_costs == inst.vertex_costs).all()
     assert back.allowed == inst.allowed
     # the JSON itself is plain data
@@ -976,14 +1035,14 @@ def test_instance_json_models():
             "vertex_costs": {"model": "constant", "cost": 1},
         },
     )
-    for tab in inst.edge_tables.values():
+    for tab in edge_tables(inst).values():
         assert tab.tolist() == [[0.0, 4.0], [4.0, 0.0]]
     assert (inst.vertex_costs == 1).all()
 
     equal = instance_from_json(
         d.cfg, {"domain_size": 2, "edge_costs": {"model": "equal"}}
     )
-    for tab in equal.edge_tables.values():
+    for tab in edge_tables(equal).values():
         assert tab.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     rand = instance_from_json(
@@ -994,12 +1053,12 @@ def test_instance_json_models():
         d.cfg,
         {"domain_size": 3, "edge_costs": {"model": "random", "seed": 5, "high": 4}},
     )
-    tabs = list(rand.edge_tables.values())
+    tabs = list(edge_tables(rand).values())
     assert ((tabs[0] >= 0) & (tabs[0] <= 4)).all()
     # per-edge tables differ, reruns do not
     assert not (tabs[0] == tabs[1]).all()
-    for key in rand.edge_tables:
-        assert (rand.edge_tables[key] == again.edge_tables[key]).all()
+    for key in edge_tables(rand):
+        assert (edge_tables(rand)[key] == edge_tables(again)[key]).all()
 
 
 @pytest.mark.parametrize(
@@ -1038,7 +1097,7 @@ def test_random_model_refuses_bad_parameters(params, named):
 def test_random_model_accepts_its_bounds(params, table):
     d = decompose_source("a")
     inst = instance_from_json(d.cfg, {"domain_size": 2, "edge_costs": {"model": "random", **params}})
-    assert inst.edge_tables[(0, 1)].tolist() == table
+    assert edge_tables(inst)[(0, 1)].tolist() == table
 
 
 def test_instance_json_explicit_tables_and_inf():
@@ -1054,7 +1113,7 @@ def test_instance_json_explicit_tables_and_inf():
             "allowed": {"3": [0]},
         },
     )
-    assert inst.edge_tables[(0, 1)].tolist() == [[0.0, INFINITY], [3.0, 0.0]]
+    assert edge_tables(inst)[(0, 1)].tolist() == [[0.0, INFINITY], [3.0, 0.0]]
     assert inst.vertex_costs[2].tolist() == [0.0, 5.0]
     assert inst.allowed[3] == (0,)
 
@@ -1162,7 +1221,7 @@ def test_array_form_equals_mapping_form():
     assert by_array.edge_rows.tolist() == list(range(len(keys)))
     assert by_array.edge_rows.dtype == np.intp and not by_array.edge_rows.flags.writeable
     for k in keys:
-        assert by_array.edge_tables[k].tolist() == by_key.edge_tables[k].tolist()
+        assert edge_tables(by_array)[k].tolist() == edge_tables(by_key)[k].tolist()
     assert solve(by_array, d) == solve(by_key, d) == oracle_solve(by_key)
     # the instance holds its own copy
     stack[0, 0, 0] = 99.0
@@ -1182,7 +1241,7 @@ def test_shared_tables_share_one_row():
     # the edge left out gets its own zero row
     assert inst.edge_stack.shape == (2, 2, 2)
     assert inst.edge_rows.tolist() == [0] + [1] * len(keys[1:])
-    assert inst.edge_tables[keys[0]].tolist() == [[0, 0], [0, 0]]
+    assert edge_tables(inst)[keys[0]].tolist() == [[0, 0], [0, 0]]
     assert PcspInstance(d.cfg, 2).edge_stack.shape == (1, 2, 2)
     # JSON tables are distinct lists; the edges a JSON instance leaves
     # out share one zero row, as in the mapping form
@@ -1191,7 +1250,7 @@ def test_shared_tables_share_one_row():
     inst = instance_from_json(d.cfg, json.loads(json.dumps(obj)))
     assert inst.edge_stack.shape == (1 + len(listed), 2, 2)
     assert set(inst.edge_rows[::2].tolist()) == {0}
-    assert inst.edge_tables[keys[0]].tolist() == [[0, 0], [0, 0]]
+    assert edge_tables(inst)[keys[0]].tolist() == [[0, 0], [0, 0]]
 
 
 def test_malformed_tables_name_their_edge():
@@ -1301,7 +1360,7 @@ def test_json_decoder_matches_per_cell_reference():
         want = {(e.src, e.dst): [[0.0] * d for _ in range(d)] for e in cfg.edges}
         for item in obj["edge_costs"]:  # the last table given wins
             want[item["src"], item["dst"]] = [[_reference_cost(x) for x in row] for row in item["table"]]
-        assert {k: t.tolist() for k, t in inst.edge_tables.items()} == want
+        assert {k: t.tolist() for k, t in edge_tables(inst).items()} == want
         vertex = [[0.0] * d for _ in range(n)]
         if obj["vertex_costs"] and isinstance(obj["vertex_costs"][0], dict):
             for item in obj["vertex_costs"]:
@@ -1395,7 +1454,7 @@ def test_json_decoding_keeps_no_list_of_every_cell():
     finally:
         tracemalloc.stop()
     assert peak < 2.3 * stack_bytes, f"peak {peak / 1024:.0f} KiB"
-    assert inst.edge_tables[cfg.edges[7].src, cfg.edges[7].dst].tolist() == [
+    assert edge_tables(inst)[cfg.edges[7].src, cfg.edges[7].dst].tolist() == [
         [INFINITY if x == 0 else x for x in row] for row in cells[7]
     ]
 

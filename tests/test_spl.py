@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import OverlappingGraphsError, atomic, decomposition, loop, node_graph, parallel, raw_ids, series
+from reference import OverlappingGraphsError, atomic, count_nodes, decomposition, loop, node_graph, parallel, raw_ids, series
 from splcsp import gen, lang, spl
 from splcsp.spl import (
     Cfg,
@@ -274,7 +274,7 @@ def random_trees():
 @given(random_trees())
 def test_node_counts_follow_the_operations(tree):
     d = decompose(tree)
-    assert len(d.nodes) == lang.count_nodes(tree)
+    assert len(d.nodes) == count_nodes(tree)
     for i, node in enumerate(d.nodes):
         g = node_graph(d, i)
         if node.kind in ("epsilon", "break", "continue"):
@@ -414,6 +414,25 @@ def test_decompose_memory_stays_flat():
     assert peak < 1837 * 1024, f"peak {peak / 1024:.0f} KiB"
 
 
+def test_cfg_memory_stays_flat():
+    # the same 2000-statement program as above, 3652 edges.  With the
+    # CFG's edges and spans stored flat, the decomposition keeps 144 B
+    # per node and `decompose` peaks at 859 KiB; with an `Edge` per edge
+    # and a dict of span tuples per vertex, it kept 428 B per node and
+    # peaked at 1528 KiB.  Each bound allows 20% over the former.
+    tree = gen.gen_random_program(gen.GenConfig(seed=0, size=2000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        d = decompose(tree)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "edges" not in d.cfg.__dict__ and "spans" not in d.cfg.__dict__
+    assert retained / len(d.kinds) < 173, f"{retained / len(d.kinds):.0f} B per node"
+    assert peak < 1031 * 1024, f"peak {peak / 1024:.0f} KiB"
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_nodes_are_the_flat_arrays_field_for_field(seed):
     # `nodes` is made from the arrays on first use, and storing those
@@ -443,6 +462,37 @@ def test_cfg_json_round_trip():
     assert back.entry == cfg.entry and back.exit == cfg.exit
     assert back.specials == cfg.specials
     assert back.spans == cfg.spans
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cfg_edges_and_spans_are_the_flat_arrays_field_for_field(seed):
+    # `edges` and `spans` are made from the arrays on first use, and
+    # storing them flat again gives the same arrays
+    cfg = decompose(gen.gen_random_program(gen.GenConfig(seed=seed, size=40))).cfg
+    assert "edges" not in cfg.__dict__ and "spans" not in cfg.__dict__
+    back = Cfg.from_edges(cfg.vertex_count, cfg.edges, cfg.entry, cfg.exit, cfg.specials, cfg.spans)
+    assert back == cfg
+    assert cfg.edges is cfg.edges and cfg.spans is cfg.spans
+
+
+def test_cfg_json_keeps_a_label_of_its_own():
+    graph = {"vertex_count": 2, "edges": [{"src": 0, "dst": 1, "label": "call", "taken": True}]}
+    g = Cfg.from_json(graph)
+    assert g.edges == (Edge(0, 1, "call", None, True),)
+    assert Cfg.from_json(g.to_json()) == g
+    assert 'label="call"' in g.to_dot()
+
+
+@pytest.mark.parametrize(
+    "graph, named",
+    [
+        ({"vertex_count": 2, "edges": [{"src": 0, "dst": 1, "label": 5}]}, "label must be a string"),
+        ({"vertex_count": 1, "vertices": [{"id": 0, "spans": [[1, 1 << 31]]}]}, "32-bit"),
+    ],
+)
+def test_cfg_json_refuses_what_the_flat_form_cannot_hold(graph, named):
+    with pytest.raises(ValueError, match=named):
+        Cfg.from_json(graph)
 
 
 def test_cfg_json_terse_form():
