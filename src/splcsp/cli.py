@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage/parse/input errors, 2 infeasible
-instance (minimum cost INFINITY), 3 `solve` and the oracle disagree
-under ``--oracle-check``.
+Exit codes: 0 success, 1 usage/parse/input errors or a table too large
+to allocate, 2 infeasible instance (minimum cost INFINITY), 3 `solve`
+and the oracle disagree under ``--oracle-check``.
 """
 
 from __future__ import annotations
@@ -314,7 +314,9 @@ def run_cli(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (lang.ProgramSyntaxError, solver.BudgetExceededError, ValueError, KeyError, TypeError, OSError) as e:
+    except (
+        lang.ProgramSyntaxError, solver.BudgetExceededError, ValueError, KeyError, TypeError, OSError, MemoryError
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -392,9 +392,11 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 #
 # The pass reads the decomposition's flat arrays: kinds, children and
 # specials by node, and each leaf's and loop's edges as positions in
-# the graph's edge list, which index the instance's row array.  When
-# the instance's graph is another object with the same edges, its rows
-# are put in the decomposition's edge order once, before the pass.
+# the graph's edge list, which index the instance's row array.  So the
+# instance's graph must be the decomposition's, or another object with
+# the same vertex count and the same edges in the same order (a JSON
+# copy, or a second decomposition of the same program); any other
+# graph is refused.
 #
 # A parallel node merges its operands' specials, so an S->T, S->B or
 # S->C edge in both is one CFG edge.  The first of its holders in node
@@ -573,29 +575,16 @@ def _narrowed(instance: PcspInstance) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return vm, stack, np.array(rows, dtype=np.intp), k
 
 
-def _edge_order(a: Cfg, b: Cfg) -> list[int] | None:
-    """None when ``a`` is ``b``; otherwise where each edge of ``b`` sits
-    among the edges of ``a``, for graphs that hold the same edges in
-    another order.  Graphs that differ are refused."""
-    if a is b:
-        return None
-    at = {key: i for i, key in enumerate(zip(a.src, a.dst))}
-    order = [at.get(key, -1) for key in zip(b.src, b.dst)]
-    if a.vertex_count != b.vertex_count or sorted(order) != list(range(len(a.src))):
-        raise InstanceMismatchError("instance and decomposition use different graphs")
-    return order
-
-
 def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray, np.ndarray, list, tuple]:
     """The root's table, each vertex's cost and mask as one (n, k)
     array, the choices and nodes of every series or loop batch in the
     order the batches ran, and the execution tree they index."""
-    order = _edge_order(instance.cfg, decomp.cfg)
+    a, b = instance.cfg, decomp.cfg
+    if a is not b and (a.vertex_count, a.src, a.dst) != (b.vertex_count, b.src, b.dst):
+        raise InstanceMismatchError("instance and decomposition use different graphs")
     # a vertex's cost and mask, charged together
     vm, stack, rows, k = _narrowed(instance)
-    if order is not None:
-        rows = rows[order]
-    # the row of each edge, by its position in the decomposition's graph
+    # the row of each edge, by its position in the graph
     row_of = rows.tolist()
     kinds, slots = decomp.kinds, decomp.edges
     left, right, spec = _execution_tree(decomp)
@@ -750,7 +739,8 @@ def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray,
 def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
     """Exact minimum over all assignments, linear in the program size,
     with an assignment that attains it when it is finite.  Which of
-    several optimal assignments it returns is not specified."""
+    several optimal assignments it returns is not specified.  The
+    instance's graph must hold ``decomp``'s edges in ``decomp``'s order."""
     total, vm, steps, (left, _, spec) = _forward(instance, decomp)
     S, T, B, C = spec
     specials = [a[decomp.root] for a in spec]

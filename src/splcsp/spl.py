@@ -22,9 +22,10 @@ leaf's and loop's edges as positions among the CFG's edges (see
 edge and a CSR of each vertex's source spans (see `Cfg`).
 `Decomposition.nodes`, `Cfg.edges` and `Cfg.spans` make one object per
 node, edge or vertex on first use, for the JSON tree, the demos and
-the tests; no solver or builder reads them.  ``tests/reference.py``
-holds the series/parallel/loop graph algebra that ``decompose`` is
-checked against.
+the tests; no solver or builder reads them, and no graph is built from
+them: ``decompose`` and `Cfg.from_json` write the arrays directly.
+``tests/reference.py`` holds the series/parallel/loop graph algebra
+that ``decompose`` is checked against.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import itertools
 import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class Edge:
 
 
 # edge labels, by their code in `Cfg.labels`; a graph read from JSON
-# appends any other label it uses
+# appends any other label it uses, up to 256 codes in all
 LABELS = (STMT, BREAK, CONTINUE, BRANCH, LOOP_ENTER, LOOP_EXIT, LOOP_BACK)
 _BRANCH_CODE = LABELS.index(BRANCH)
 
@@ -84,10 +84,10 @@ class Cfg:
     taken branch, and ``texts[i]`` is its statement or guard text (the
     parse tree's own string) or None.  Vertex v was produced by the
     source positions ``span_lines[j]``, ``span_columns[j]`` for j from
-    ``span_starts[v]`` up to ``span_starts[v + 1]``.  ``edges``,
-    ``spans`` and ``edge_map`` are derived from these on first use; the
-    solver, the builders and the JSON and DOT writers read the arrays.
-    `from_edges` builds a graph from `Edge` objects.
+    ``span_starts[v]`` up to ``span_starts[v + 1]``.  ``edges`` and
+    ``spans`` are derived from these on first use; the solver, the
+    builders and the JSON and DOT writers read the arrays, and
+    `from_json` checks each JSON edge and appends it to them.
 
     ``entry``/``exit`` and ``specials`` are None for ad-hoc digraphs
     (e.g. graph-coloring inputs) that did not come from a program.
@@ -107,39 +107,6 @@ class Cfg:
     specials: tuple[int, int, int, int] | None = None
     label_names: tuple[str, ...] = LABELS
 
-    @classmethod
-    def from_edges(
-        cls,
-        vertex_count: int,
-        edges: Sequence[Edge],
-        entry: int | None = None,
-        exit: int | None = None,
-        specials: tuple[int, int, int, int] | None = None,
-        spans: Mapping[int, Sequence[Span]] | None = None,
-    ) -> "Cfg":
-        """The graph with ``edges``, in their order, stored flat;
-        ``spans`` maps a vertex to the source positions that produced
-        it."""
-        names = list(dict.fromkeys((*LABELS, *(e.label for e in edges))))
-        code = {name: i for i, name in enumerate(names)}
-        spans = spans or {}
-        runs = [spans.get(v, ()) for v in range(vertex_count)]
-        return cls(
-            vertex_count,
-            array("i", [e.src for e in edges]),
-            array("i", [e.dst for e in edges]),
-            bytes(code[e.label] for e in edges),
-            bytes(bool(e.taken) for e in edges),
-            [e.text for e in edges],
-            array("i", itertools.accumulate(map(len, runs), initial=0)),
-            array("i", [line for run in runs for line, _ in run]),
-            array("i", [column for run in runs for _, column in run]),
-            entry,
-            exit,
-            specials,
-            tuple(names),
-        )
-
     @functools.cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Every edge as an `Edge`, made on first use."""
@@ -154,10 +121,6 @@ class Cfg:
         """Each vertex that has source positions -> those positions,
         made on first use."""
         return {v: tuple(spans) for v in range(self.vertex_count) if (spans := self._spans_of(v))}
-
-    @functools.cached_property
-    def edge_map(self) -> dict[tuple[int, int], Edge]:
-        return {(e.src, e.dst): e for e in self.edges}
 
     def _spans_of(self, v: int) -> list[Span]:
         lo, hi = self.span_starts[v], self.span_starts[v + 1]
@@ -215,31 +178,35 @@ class Cfg:
         for name, v in ids + [("specials", v) for v in specials or ()]:
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"{name}: vertex ids must be integers below {n}, got {v!r}")
-        edges = []
+        code = {name: i for i, name in enumerate(LABELS)}
+        src, dst, labels, taken, texts = array("i"), array("i"), bytearray(), bytearray(), []
         for item in obj.get("edges", []):
             if isinstance(item, (list, tuple)) and len(item) == 2:
-                edges.append(Edge(item[0], item[1], STMT))
+                item = {"src": item[0], "dst": item[1]}
             elif not (isinstance(item, dict) and "src" in item and "dst" in item):
                 raise ValueError(f"edge {item!r}: expected [src, dst] or an object with both")
-            else:
-                edges.append(
-                    Edge(
-                        item["src"],
-                        item["dst"],
-                        item.get("label", STMT),
-                        item.get("text"),
-                        item.get("taken", False),
-                    )
-                )
-        for e in edges:
+            u, w = item["src"], item["dst"]
+            label, text, flag = item.get("label", STMT), item.get("text"), item.get("taken", False)
             # JSON integers only: True would pass as 1, 0.5 as an index
-            if type(e.src) is not int or type(e.dst) is not int:
-                raise ValueError(f"edge ({e.src!r}, {e.dst!r}): endpoints must be integers")
-            if not (0 <= e.src < n and 0 <= e.dst < n):
-                raise ValueError(f"edge ({e.src}, {e.dst}) out of range for {n} vertices")
-            if type(e.label) is not str:
-                raise ValueError(f"edge ({e.src}, {e.dst}): label must be a string, got {e.label!r}")
-        spans: dict[int, tuple[Span, ...]] = {}
+            if type(u) is not int or type(w) is not int:
+                raise ValueError(f"edge ({u!r}, {w!r}): endpoints must be integers")
+            if not (0 <= u < n and 0 <= w < n):
+                raise ValueError(f"edge ({u}, {w}) out of range for {n} vertices")
+            if type(label) is not str:
+                raise ValueError(f"edge ({u}, {w}): label must be a string, got {label!r}")
+            if text is not None and type(text) is not str:
+                raise ValueError(f"edge ({u}, {w}): text must be a string or null, got {text!r}")
+            if type(flag) is not bool:
+                raise ValueError(f"edge ({u}, {w}): taken must be true or false, got {flag!r}")
+            # each label's code is stored in a byte
+            if code.setdefault(label, len(code)) > 255:
+                raise ValueError(f"edge ({u}, {w}): a graph uses at most 256 labels, {len(LABELS)} of them built in")
+            src.append(u)
+            dst.append(w)
+            labels.append(code[label])
+            taken.append(flag)
+            texts.append(text)
+        spans: dict[int, list] = {}
         for v in obj.get("vertices", []):
             if not isinstance(v, dict):
                 raise ValueError(f"vertex {v!r}: expected an object")
@@ -254,14 +221,22 @@ class Cfg:
                 for p in pairs
             ):
                 raise ValueError(f"vertex {vid}: spans must be [line, column] pairs of 32-bit integers, got {pairs!r}")
-            spans[vid] = tuple((l, c) for l, c in pairs)
-        return cls.from_edges(
+            spans[vid] = pairs
+        runs = [spans.get(v, ()) for v in range(n)]
+        return cls(
             n,
-            edges,
+            src,
+            dst,
+            bytes(labels),
+            bytes(taken),
+            texts,
+            array("i", itertools.accumulate(map(len, runs), initial=0)),
+            array("i", [line for run in runs for line, _ in run]),
+            array("i", [column for run in runs for _, column in run]),
             obj.get("entry"),
             obj.get("exit"),
             tuple(specials) if specials is not None else None,
-            spans,
+            tuple(code),
         )
 
     def to_dot(self) -> str:

@@ -136,7 +136,8 @@ def test_loop_back_and_exit_edges_carry_cost():
     s, t, _, _ = root.specials
     # the child's continue target loops back to S; its break target
     # exits to T; both edges exist and their costs count
-    assert (c1, s) in d.cfg.edge_map and (b1, t) in d.cfg.edge_map
+    edges = {(e.src, e.dst): e for e in d.cfg.edges}
+    assert (c1, s) in edges and (b1, t) in edges
     one = np.ones((2, 2))
     inst = PcspInstance(
         d.cfg, 2, edge_costs={(c1, s): one, (b1, t): one}
@@ -151,7 +152,7 @@ def test_duplicate_break_edge_counted_once():
     par = next(n for n in d.nodes if n.kind == "parallel")
     s1, _, b1, _ = par.specials
     assert par.duplicates == ((s1, b1),)
-    assert d.cfg.edge_map[(s1, b1)].label == BREAK
+    assert {(e.src, e.dst): e for e in d.cfg.edges}[(s1, b1)].label == BREAK
     inst = PcspInstance(d.cfg, 2, edge_costs={(s1, b1): np.ones((2, 2))})
     got = solve(inst, d)
     want = oracle_solve(inst)

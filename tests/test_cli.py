@@ -549,6 +549,32 @@ def test_coloring_refuses_a_bad_vertex_count_or_edge_shape(capsys, tmp_path, gra
     assert "Traceback" not in err
 
 
+def test_coloring_refuses_more_than_256_labels_in_one_line(capsys, tmp_path):
+    path = tmp_path / "graph.json"
+    edges = [{"src": 0, "dst": 1, "label": f"l{i}"} for i in range(250)]
+    path.write_text(json.dumps({"vertex_count": 2, "edges": edges}))
+    rc, out, err = run(capsys, "coloring", str(path), "--colors", "1")
+    assert (rc, out) == (1, "")
+    assert err == "error: edge (0, 1): a graph uses at most 256 labels, 7 of them built in\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "coloring"])
+def test_an_allocation_that_cannot_succeed_is_one_error_line(command, program, capsys, tmp_path):
+    # d = 10**8 asks numpy for petabytes, which it refuses at once
+    # without touching memory
+    if command == "solve":
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps({"domain_size": 10**8}))
+        argv = [program("a; b"), "--instance", str(instance)]
+    else:
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"vertex_count": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
+        argv = [str(graph), "--colors", str(10**8)]
+    rc, out, err = run(capsys, command, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "allocate" in err and err.count("\n") == 1
+
+
 def test_coloring_with_a_self_loop(capsys, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps({"vertex_count": 3, "edges": [[0, 1], [1, 1], [1, 2]]}))

@@ -211,19 +211,34 @@ def test_solve_rejects_foreign_decomposition():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_an_instance_on_an_equal_graph_solves_alike(seed):
-    # the instance's graph is another object holding the same edges,
-    # in another order or read back from JSON: its rows are matched to
-    # the decomposition's edges by their ends
-    d = decompose(gen.gen_random_program(gen.GenConfig(seed=seed, size=60)))
+    # the instance's graph is another object holding the same edges in
+    # the same order: read back from JSON, or decomposed a second time
+    program = gen.gen_random_program(gen.GenConfig(seed=seed, size=60))
+    d = decompose(program)
     inst = gen.random_instance(d.cfg, 3, seed=seed, inf_prob=0.02, restrict_prob=0.3)
     want = solve(inst, d)
-    shuffled = list(d.cfg.edges)
-    np.random.default_rng(seed).shuffle(shuffled)
-    for cfg in (Cfg.from_edges(d.cfg.vertex_count, shuffled), Cfg.from_json(d.cfg.to_json())):
+    for cfg in (Cfg.from_json(d.cfg.to_json()), decompose(program).cfg):
+        assert cfg is not d.cfg
         other = PcspInstance(cfg, 3, edge_tables(inst), inst.vertex_costs, dict(enumerate(inst.allowed)))
         got = solve(other, d)
         assert got.to_json() == want.to_json()
         assert evaluate(other, got.assignment) == got.min_cost == evaluate(inst, got.assignment)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_an_instance_on_the_same_edges_in_another_order_is_refused(seed):
+    # the decomposition's edge positions index the instance's rows, so
+    # a graph listing the same edges in another order is another graph
+    d = decompose(gen.gen_random_program(gen.GenConfig(seed=seed, size=60)))
+    inst = gen.random_instance(d.cfg, 3, seed=seed, inf_prob=0.02, restrict_prob=0.3)
+    graph = d.cfg.to_json()
+    np.random.default_rng(seed).shuffle(graph["edges"])
+    shuffled = Cfg.from_json(graph)
+    assert sorted(zip(shuffled.src, shuffled.dst)) == sorted(zip(d.cfg.src, d.cfg.dst))
+    assert list(zip(shuffled.src, shuffled.dst)) != list(zip(d.cfg.src, d.cfg.dst))
+    other = PcspInstance(shuffled, 3, edge_tables(inst), inst.vertex_costs, dict(enumerate(inst.allowed)))
+    with pytest.raises(InstanceMismatchError, match="different graphs"):
+        solve(other, d)
 
 
 def test_cfg_holds_no_object_per_edge():

@@ -302,7 +302,8 @@ def test_root_graph_is_the_cfg(tree):
     d = decompose(tree)
     g = node_graph(d, d.root)
     assert g.vertices == frozenset(range(d.cfg.vertex_count))
-    assert set(g.edges) == set(d.cfg.edge_map)
+    edges = {(e.src, e.dst): e for e in d.cfg.edges}
+    assert set(g.edges) == set(edges)
     assert g.specials == d.cfg.specials
 
 
@@ -467,11 +468,20 @@ def test_cfg_json_round_trip():
 @pytest.mark.parametrize("seed", range(20))
 def test_cfg_edges_and_spans_are_the_flat_arrays_field_for_field(seed):
     # `edges` and `spans` are made from the arrays on first use, and
-    # storing them flat again gives the same arrays
+    # reading the JSON back gives the same arrays
     cfg = decompose(gen.gen_random_program(gen.GenConfig(seed=seed, size=40))).cfg
     assert "edges" not in cfg.__dict__ and "spans" not in cfg.__dict__
-    back = Cfg.from_edges(cfg.vertex_count, cfg.edges, cfg.entry, cfg.exit, cfg.specials, cfg.spans)
-    assert back == cfg
+    assert len(cfg.edges) == len(cfg.src) == len(cfg.dst) == len(cfg.labels) == len(cfg.taken) == len(cfg.texts)
+    for i, e in enumerate(cfg.edges):
+        assert (e.src, e.dst, e.label, e.text) == (cfg.src[i], cfg.dst[i], cfg.label_names[cfg.labels[i]], cfg.texts[i])
+        assert e.taken is (cfg.taken[i] == 1)
+    starts = cfg.span_starts
+    assert len(starts) == cfg.vertex_count + 1 and starts[-1] == len(cfg.span_lines) == len(cfg.span_columns)
+    for v in range(cfg.vertex_count):
+        lo, hi = starts[v], starts[v + 1]
+        assert cfg.spans.get(v, ()) == tuple(zip(cfg.span_lines[lo:hi], cfg.span_columns[lo:hi]))
+    assert all(cfg.spans.values())
+    assert Cfg.from_json(cfg.to_json()) == cfg
     assert cfg.edges is cfg.edges and cfg.spans is cfg.spans
 
 
@@ -493,6 +503,33 @@ def test_cfg_json_keeps_a_label_of_its_own():
 def test_cfg_json_refuses_what_the_flat_form_cannot_hold(graph, named):
     with pytest.raises(ValueError, match=named):
         Cfg.from_json(graph)
+
+
+@pytest.mark.parametrize("text", [5, True, ["a"], {"a": 1}])
+def test_cfg_json_refuses_an_edge_text_that_is_not_a_string(text):
+    graph = {"vertex_count": 2, "edges": [{"src": 0, "dst": 1, "text": text}]}
+    with pytest.raises(ValueError, match=re.escape(f"edge (0, 1): text must be a string or null, got {text!r}")):
+        Cfg.from_json(graph)
+    assert Cfg.from_json({**graph, "edges": [{"src": 0, "dst": 1, "text": None}]}).texts == [None]
+
+
+@pytest.mark.parametrize("taken", ["no", 1, 0, None, [True]])
+def test_cfg_json_refuses_a_taken_that_is_not_a_boolean(taken):
+    graph = {"vertex_count": 2, "edges": [{"src": 0, "dst": 1, "taken": taken}]}
+    with pytest.raises(ValueError, match=re.escape(f"edge (0, 1): taken must be true or false, got {taken!r}")):
+        Cfg.from_json(graph)
+
+
+def test_cfg_json_holds_at_most_256_labels():
+    # 7 built-in labels and 249 of the graph's own fill the 256 codes
+    # a byte holds
+    edges = [{"src": 0, "dst": 1, "label": f"l{i}"} for i in range(249)]
+    g = Cfg.from_json({"vertex_count": 2, "edges": edges})
+    assert len(g.label_names) == 256 and g.edges[-1].label == "l248"
+    assert Cfg.from_json(g.to_json()) == g
+    edges.append({"src": 1, "dst": 0, "label": "l249"})
+    with pytest.raises(ValueError, match=re.escape("edge (1, 0): a graph uses at most 256 labels, 7 of them built in")):
+        Cfg.from_json({"vertex_count": 2, "edges": edges})
 
 
 def test_cfg_json_terse_form():
