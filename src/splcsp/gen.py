@@ -120,18 +120,18 @@ def random_instance(
 ) -> PcspInstance:
     """Random integer costs in [low, high] on every edge and vertex,
     INFINITY edge entries with probability ``inf_prob``, and with
-    probability ``restrict_prob`` a random non-empty allowed set."""
+    probability ``restrict_prob`` a random non-empty allowed set: a
+    size uniform in 1..d, and the first that many values of a random
+    order of the domain.  Each kind of draw is one call for the whole
+    instance."""
     rng = np.random.default_rng(seed)
     d, n = domain_size, cfg.vertex_count
-    edge_costs = np.empty((len(cfg.src), d, d))
-    for tab in edge_costs:
-        tab[...] = rng.integers(low, high + 1, size=(d, d))
-        if inf_prob > 0:
-            tab[rng.random((d, d)) < inf_prob] = INFINITY
+    edge_costs = rng.integers(low, high + 1, size=(len(cfg.src), d, d)).astype(float)
+    if inf_prob > 0:
+        edge_costs[rng.random(edge_costs.shape) < inf_prob] = INFINITY
     vertex_costs = rng.integers(low, high + 1, size=(n, d)).astype(float)
-    allowed = {}
-    for v in range(n):
-        if rng.random() < restrict_prob:
-            k = int(rng.integers(1, d + 1))
-            allowed[v] = sorted(rng.choice(d, size=k, replace=False).tolist())
+    restricted = np.flatnonzero(rng.random(n) < restrict_prob)
+    sizes = rng.integers(1, d + 1, size=len(restricted))
+    order = rng.random((len(restricted), d)).argsort(axis=1)
+    allowed = {v: sorted(row[:k].tolist()) for v, k, row in zip(restricted.tolist(), sizes.tolist(), order)}
     return PcspInstance(cfg, d, edge_costs, vertex_costs, allowed)

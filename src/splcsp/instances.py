@@ -67,6 +67,9 @@ class BankSpec:
 def build_bank_selection(cfg: Cfg, spec: BankSpec) -> PcspInstance:
     if spec.banks < 1:
         raise ValueError("need at least one bank")
+    for name, price in (("c0", spec.c0), ("c1", spec.c1)):
+        if price < 0:
+            raise ValueError(f"{name} must be non-negative, got {price}")
     bottom = spec.banks
     for v, bank in spec.preassigned.items():
         if not 0 <= v < cfg.vertex_count:
@@ -157,6 +160,12 @@ def build_lospre(cfg: Cfg, spec: LospreSpec) -> PcspInstance:
     for v in spec.use | spec.invalidating:
         if not 0 <= v < cfg.vertex_count:
             raise ValueError(f"vertex {v} not in the graph")
+    stray = set(spec.edge_costs or ()) - set(zip(cfg.src, cfg.dst))
+    if stray:
+        raise ValueError(f"edge costs for pairs that are not edges of the graph: {sorted(stray)[:4]}")
+    stray = set(spec.vertex_costs or ()) - set(range(cfg.vertex_count))
+    if stray:
+        raise ValueError(f"vertex costs for vertices not in the graph: {sorted(stray)[:4]}")
     inv = spec.effective_invalidating(cfg)
     # edges agreeing on (source invalidates, target uses, price) share
     # one table.  y needs the value when it uses it or ly = 1; x carries
@@ -281,6 +290,8 @@ def _is_connected(vertices: frozenset[int], cfg: Cfg) -> bool:
 def build_regalloc(cfg: Cfg, spec: RegAllocSpec) -> PcspInstance:
     if spec.registers < 0:
         raise ValueError("register count must be non-negative")
+    if spec.switch_cost < 0:
+        raise ValueError(f"switch_cost must be non-negative, got {spec.switch_cost}")
     for var, vs in spec.lifetimes.items():
         for v in vs:
             if not 0 <= v < cfg.vertex_count:

@@ -99,24 +99,6 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def _masked(costs: np.ndarray, allowed: tuple) -> np.ndarray:
-    """``costs``, an (n, d) array, with INFINITY written in place at
-    every value outside its vertex's allowed set.  The restricted rows
-    are set in one fancy-index assignment, not a numpy call per
-    vertex."""
-    d = costs.shape[1]
-    restricted = [v for v, vals in enumerate(allowed) if len(vals) < d]
-    sets = list(map(allowed.__getitem__, restricted))
-    index = (
-        np.repeat(np.array(restricted, dtype=np.intp), list(map(len, sets))),
-        np.fromiter(itertools.chain.from_iterable(sets), np.intp),
-    )
-    kept = costs[index]
-    costs[restricted] = INFINITY
-    costs[index] = kept
-    return costs
-
-
 def _floats(costs) -> np.ndarray:
     """``costs`` as a new float64 array; an integer past float range
     is refused like any total past 2**52."""
@@ -199,7 +181,12 @@ class PcspInstance:
     mapping from vertex to a length-d vector, None, or a callable
     ``f(v, a)`` that is tabulated first.  ``allowed`` maps vertices to
     non-empty subsets of the domain; unlisted vertices allow everything.
-    ``allowed`` holds a sorted tuple per vertex, one per distinct set.
+
+    The allowed sets are stored once: ``sets`` holds each distinct set
+    as a sorted tuple, the whole domain first, and ``set_of`` a
+    read-only int32 array of each vertex's set in it.  ``allowed``, a
+    tuple of each vertex's set (the shared tuples), is made on first
+    use; the solver reads the index.
 
     The edge costs are stored once: ``edge_stack`` is a read-only
     (r, d, d) array of distinct tables, and ``edge_rows`` a read-only
@@ -309,16 +296,24 @@ class PcspInstance:
             )
         # only restricted vertices are visited; `operator.index` takes
         # ints, numpy's too, and refuses 0.7 rather than truncate it
-        full = tuple(range(d))
-        sets, shared = [full] * n, {full: full}
+        sets: dict[tuple, int] = {tuple(range(d)): 0}
+        set_of = np.zeros(n, dtype=np.int32)
         for v in sorted(map(int, allowed)):
             vals = tuple(sorted(set(map(operator.index, allowed[v]))))
             if not vals:
                 raise ValueError(f"allowed set for vertex {v} is empty")
             if vals[0] < 0 or vals[-1] >= d:
                 raise ValueError(f"allowed set for vertex {v} leaves the domain")
-            sets[v] = shared.setdefault(vals, vals)
-        self.allowed = tuple(sets)
+            set_of[v] = sets.setdefault(vals, len(sets))
+        set_of.setflags(write=False)
+        self.sets = tuple(sets)
+        self.set_of = set_of
+
+    @functools.cached_property
+    def allowed(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's allowed set, one of the shared ``sets``,
+        made on first use."""
+        return tuple(map(self.sets.__getitem__, self.set_of.tolist()))
 
 
 @dataclass(frozen=True)
@@ -352,7 +347,8 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
         if not 0 <= a < instance.d:
             raise ValueError(f"value {a} for vertex {v} leaves the domain")
         vals.append(a)
-    if any(a not in allowed for a, allowed in zip(vals, instance.allowed)):
+    sets = instance.sets
+    if any(a not in sets[s] for a, s in zip(vals, instance.set_of.tolist())):
         return INFINITY
     # every partial sum is part of the total, at most 2**52, so exact
     at = np.array(vals, dtype=np.intp)
@@ -372,6 +368,10 @@ def evaluate(instance: PcspInstance, assignment: Mapping[int, int]) -> int | flo
 # size of the largest allowed set: when k < d, `_narrowed` lays each
 # vertex's allowed values along its axis, increasing and padded with
 # the last, and the backtrack maps position j back to the j-th value.
+# It works on the instance's distinct sets, one padded row of values
+# each, and reaches a vertex's row through its index: the masks come
+# from one table per set, at k = d as at k < d, and the narrowed edge
+# stack has one row per distinct (row, source set, target set).
 # A vertex's cost and its allowed set, a {0, INFINITY} mask that also
 # covers the padding, are charged together where the vertex stops
 # being special: at the series merge point, at a loop's child specials
@@ -555,24 +555,26 @@ def _narrowed(instance: PcspInstance) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Each vertex's cost and mask as one (n, k) array, and the edge
     stack on the same axes with each edge's row in it (see the DP notes
     above)."""
-    allowed, k = instance.allowed, max(map(len, instance.allowed), default=instance.d)
-    if k == instance.d:
-        return _masked(np.array(instance.vertex_costs), allowed), instance.edge_stack, instance.edge_rows, k
-    # a padded axis per distinct set, a stack row per distinct (row, source set, target set)
-    ids: dict[tuple, int] = {}
-    sid = [ids.setdefault(vals, len(ids)) for vals in allowed]
-    at = np.array([vals + vals[-1:] * (k - len(vals)) for vals in ids])
-    vm = np.take_along_axis(instance.vertex_costs, at[sid], 1)
-    vm[(np.arange(k) >= np.array(list(map(len, ids)))[:, None])[sid]] = INFINITY
-    narrow: dict[tuple, int] = {}
-    cfg = instance.cfg
-    rows = [
-        narrow.setdefault(key, len(narrow))
-        for key in zip(instance.edge_rows.tolist(), map(sid.__getitem__, cfg.src), map(sid.__getitem__, cfg.dst))
-    ]
-    r, su, sw = np.array(list(narrow), dtype=np.intp).reshape(-1, 3).T
-    stack = instance.edge_stack[r[:, None, None], at[su][:, :, None], at[sw][:, None, :]]
-    return vm, stack, np.array(rows, dtype=np.intp), k
+    sets, set_of, d = instance.sets, instance.set_of, instance.d
+    # sets[0] is the whole domain, so k < d only when no vertex takes it
+    k = max(map(len, sets[1:]), default=d) if set_of.all() else d
+    # each set's values, padded with its last to length k
+    at = np.array([(vals + vals[-1:] * k)[:k] for vals in sets])
+    if k == d:
+        mask = np.full((len(sets), d), INFINITY)
+        mask[np.arange(len(sets))[:, None], at] = 0.0
+        vm = mask[set_of]
+        vm += instance.vertex_costs
+        return vm, instance.edge_stack, instance.edge_rows, k
+    padding = np.arange(k) >= np.array(list(map(len, sets)))[:, None]
+    vm = np.where(padding, INFINITY, 0.0)[set_of]
+    vm += np.take_along_axis(instance.vertex_costs, at[set_of], 1)
+    # a stack row per distinct (row, source set, target set)
+    s, cfg = len(sets), instance.cfg
+    keys = (instance.edge_rows * s + set_of[np.asarray(cfg.src)]) * s + set_of[np.asarray(cfg.dst)]
+    keys, rows = np.unique(keys, return_inverse=True)
+    r, su, sw = keys // (s * s), at[keys // s % s], at[keys % s]
+    return vm, instance.edge_stack[r[:, None, None], su[:, :, None], sw[:, None, :]], rows, k
 
 
 def _forward(instance: PcspInstance, decomp: Decomposition) -> tuple[np.ndarray, np.ndarray, list, tuple]:
@@ -787,7 +789,8 @@ def solve(instance: PcspInstance, decomp: Decomposition) -> Solution:
     if -1 in value:
         raise AssertionError("reconstruction did not assign every vertex")
     if vm.shape[1] < instance.d:  # narrowed: position j is the j-th allowed value
-        value = list(map(operator.getitem, instance.allowed, value))
+        sets = instance.sets
+        value = [sets[s][j] for s, j in zip(instance.set_of.tolist(), value)]
     return Solution(int(best), dict(enumerate(value)))
 
 
@@ -873,7 +876,8 @@ def as_csp(instance: PcspInstance) -> PcspInstance:
     hard = list(np.where(instance.edge_stack > 0, INFINITY, 0.0))
     edges = list(map(hard.__getitem__, instance.edge_rows.tolist()))
     vertex = np.where(instance.vertex_costs > 0, INFINITY, 0.0)
-    allowed = {v: vals for v, vals in enumerate(instance.allowed)}
+    sets = instance.sets
+    allowed = {v: sets[s] for v, s in enumerate(instance.set_of.tolist()) if s}
     return PcspInstance(instance.cfg, instance.d, edges, vertex, allowed)
 
 
@@ -1057,11 +1061,9 @@ def instance_to_json(instance: PcspInstance) -> dict:
         "edge_costs": edges,
         "vertex_costs": _costs_to_json(instance.vertex_costs),
     }
-    restricted = {
-        str(v): list(vals)
-        for v, vals in enumerate(instance.allowed)
-        if len(vals) < instance.d
-    }
+    # sets[0] is the whole domain
+    sets = instance.sets
+    restricted = {str(v): list(sets[s]) for v, s in enumerate(instance.set_of.tolist()) if s}
     if restricted:
         out["allowed"] = restricted
     return out

@@ -210,11 +210,11 @@ class Cfg:
         for v in obj.get("vertices", []):
             if not isinstance(v, dict):
                 raise ValueError(f"vertex {v!r}: expected an object")
-            if "spans" not in v:
-                continue
-            vid, pairs = v.get("id"), v["spans"]
+            vid, pairs = v.get("id"), v.get("spans", [])
             if type(vid) is not int or not 0 <= vid < n:
                 raise ValueError(f"vertex {vid!r}: id must be an integer below {n}")
+            if vid in spans:
+                raise ValueError(f"vertex {vid}: listed twice in vertices")
             # each position is stored in a C int
             if not isinstance(pairs, list) or not all(
                 isinstance(p, list) and len(p) == 2 and all(type(x) is int and abs(x) < 1 << 31 for x in p)

@@ -322,6 +322,21 @@ def test_bank_refuses_a_taken_pair_that_is_no_edge(program, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bank", "--banks", "2", "--c0", "-1"], "c0 must be non-negative, got -1"),
+        (["bank", "--banks", "2", "--c1", "-3"], "c1 must be non-negative, got -3"),
+        (["regalloc", "--registers", "1", "--lifetime", "x=0,2", "--switch-cost", "-1"], "switch_cost must be non-negative, got -1"),
+    ],
+)
+def test_a_negative_price_is_refused_by_its_name(program, capsys, argv, message):
+    command, *options = argv
+    rc, out, err = run(capsys, command, program("a; b"), *options)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ('"x"', "an instance must be a JSON object, got str"),
@@ -527,6 +542,10 @@ def test_coloring_refuses_edge_endpoints_that_are_not_integers(capsys, tmp_path,
         ({"vertex_count": 3, "edges": [], "vertices": [{"id": 0, "spans": [[1]]}]}, "vertex 0"),
         ({"vertex_count": 3, "edges": [], "vertices": [{"id": 7, "spans": [[1, 1]]}]}, "vertex 7"),
         ({"vertex_count": 3, "edges": [], "vertices": [5]}, "vertex 5"),
+        ({"vertex_count": 1, "edges": [], "vertices": [{"id": "zzz"}]}, "vertex 'zzz'"),
+        ({"vertex_count": 1, "edges": [], "vertices": [{"id": 99}]}, "vertex 99"),
+        ({"vertex_count": 1, "edges": [], "vertices": [{}]}, "vertex None"),
+        ({"vertex_count": 1, "edges": [], "vertices": [{"id": 0, "spans": [[1, 2]]}, {"id": 0, "spans": [[3, 4]]}]}, "vertex 0"),
         ({"vertex_count": 3, "edges": [], "specials": 5}, "specials"),
         ({"vertex_count": 3, "edges": [], "specials": [0, 1]}, "specials"),
         ({"vertex_count": 3, "edges": [], "specials": [0, 1, 2, 3]}, "specials"),
@@ -545,7 +564,7 @@ def test_coloring_refuses_a_bad_vertex_count_or_edge_shape(capsys, tmp_path, gra
     rc, out, err = run(capsys, "coloring", str(path), "--colors", "2")
     assert rc == 1
     assert out == ""
-    assert err.startswith("error: ") and named in err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -184,6 +184,14 @@ def test_bank_refuses_a_taken_edge_price_beyond_exact_sums():
     build_bank_selection(d.cfg, BankSpec(banks=1, c1=2**53, taken_edges=frozenset()))
 
 
+@pytest.mark.parametrize("field", ["c0", "c1"])
+def test_bank_refuses_a_negative_price_by_its_name(field):
+    d = decompose_source(BANK_PROGRAM)
+    with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -3$"):
+        build_bank_selection(d.cfg, BankSpec(banks=2, **{field: -3}))
+    build_bank_selection(d.cfg, BankSpec(banks=2, **{field: 0}))
+
+
 def test_decode_banks():
     spec = BankSpec(banks=2)
     assert decode_banks(spec, {0: 0, 1: 2, 2: 1}) == {0: 0, 1: None, 2: 1}
@@ -332,6 +340,20 @@ def test_lospre_rejects_negative_prices():
     spec = LospreSpec(use=frozenset({d.cfg.exit}), edge_costs={first: -1})
     with pytest.raises(ValueError):
         build_lospre(d.cfg, spec)
+
+
+def test_lospre_refuses_costs_for_pairs_and_vertices_outside_the_graph():
+    # `a; b` has the edges (0, 1) and (1, 4) on vertices 0 to 4
+    d = decompose_source("a; b")
+    assert (set(zip(d.cfg.src, d.cfg.dst)), d.cfg.vertex_count) == ({(0, 1), (1, 4)}, 5)
+    stray = {(7, 8): 5, (1, 0): 1, (0, 4): 1, (4, 1): 1, (5, 5): 1}
+    for edges, named in (({(7, 8): 5}, "[(7, 8)]"), ({(0, 1): 1, **stray}, "[(0, 4), (1, 0), (4, 1), (5, 5)]")):
+        with pytest.raises(ValueError, match=re.escape(f"edge costs for pairs that are not edges of the graph: {named}")):
+            build_lospre(d.cfg, LospreSpec(use=frozenset({1}), edge_costs=edges))
+    for vertices, named in (({99: 3}, "[99]"), ({0: 1, -1: 1, 5: 1, 6: 1, 7: 1, 8: 1}, "[-1, 5, 6, 7]")):
+        with pytest.raises(ValueError, match=re.escape(f"vertex costs for vertices not in the graph: {named}")):
+            build_lospre(d.cfg, LospreSpec(use=frozenset({1}), vertex_costs=vertices))
+    build_lospre(d.cfg, LospreSpec(use=frozenset({1}), edge_costs={(1, 4): 5}, vertex_costs={4: 3}))
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +518,13 @@ def test_regalloc_errors():
                 registers=8,
             ),
         )
+
+
+def test_regalloc_refuses_a_negative_switch_cost_by_its_name():
+    d = decompose_source("a; b")
+    spec = RegAllocSpec({"x": frozenset({0, 2})}, 1, switch_cost=-1)
+    with pytest.raises(ValueError, match="^switch_cost must be non-negative, got -1$"):
+        build_regalloc(d.cfg, spec)
 
 
 def test_regalloc_single_variable_straight_line():

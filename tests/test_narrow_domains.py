@@ -14,8 +14,9 @@ from collections import deque
 import numpy as np
 import pytest
 
+from reference import allowed_mask
 from splcsp import gen, lang, solver
-from splcsp.instances import RegAllocSpec, build_regalloc
+from splcsp.instances import BankSpec, RegAllocSpec, build_bank_selection, build_regalloc
 from splcsp.solver import INFINITY, PcspInstance, Solution, evaluate, oracle_solve, solve
 from splcsp.spl import decompose
 
@@ -166,3 +167,45 @@ def test_equal_allowed_sets_share_one_tuple():
     for u in range(n):
         for v in range(n):
             assert (built.allowed[u] is built.allowed[v]) == (live[u] == live[v])
+
+
+def test_allowed_sets_are_stored_once_with_an_index_per_vertex():
+    d = decompose(gen.gen_random_program(gen.GenConfig(seed=3, size=20)))
+    n = d.cfg.vertex_count
+    inst = PcspInstance(d.cfg, 3, allowed={0: [2, 1], 1: (1, 2), 2: [0, 1, 2], 4: {1, 2}, 5: [0]})
+    assert inst.sets == ((0, 1, 2), (1, 2), (0,))
+    assert inst.set_of.dtype == np.int32 and not inst.set_of.flags.writeable
+    assert inst.set_of.tolist() == [1, 1, 0, 0, 1, 2] + [0] * (n - 6)
+    assert "allowed" not in inst.__dict__
+    for v in range(n):
+        assert inst.allowed[v] is inst.sets[inst.set_of[v]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unnarrowed_costs_are_the_vertex_costs_plus_the_allowed_mask(seed):
+    rng = np.random.default_rng(seed)
+    d = decompose(gen.gen_random_program(gen.GenConfig(seed=seed, size=30)))
+    n, domain = d.cfg.vertex_count, int(rng.integers(2, 9))
+    allowed = {
+        v: rng.choice(domain, size=int(rng.integers(1, domain + 1)), replace=False).tolist()
+        for v in range(1, n)
+        if rng.random() < 0.5
+    }
+    inst = PcspInstance(d.cfg, domain, None, rng.integers(0, 10, size=(n, domain)), allowed)
+    vm, stack, rows, k = solver._narrowed(inst)
+    assert k == domain
+    assert (vm == inst.vertex_costs + allowed_mask(inst)).all()
+
+
+def test_solving_never_makes_the_allowed_sets():
+    # on full axes (the bank instance pins some vertices) and narrowed
+    # ones (every vertex of the allocation allows at most 3 of 8 values)
+    d = decompose(gen.gen_random_program(gen.GenConfig(seed=4, size=200)))
+    n = d.cfg.vertex_count
+    bank = build_bank_selection(d.cfg, BankSpec(2, preassigned={v: v % 2 for v in range(1, n, 7)}))
+    regalloc = build_regalloc(d.cfg, RegAllocSpec({"x": connected_half(d.cfg, 0), "y": connected_half(d.cfg, n // 2)}, 1))
+    for inst in (bank, regalloc):
+        sol = solve(inst, d)
+        assert evaluate(inst, sol.assignment) == sol.min_cost
+        assert evaluate(inst, {v: 0 for v in range(n)}) == INFINITY
+        assert "allowed" not in inst.__dict__

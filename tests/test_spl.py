@@ -532,6 +532,23 @@ def test_cfg_json_holds_at_most_256_labels():
         Cfg.from_json({"vertex_count": 2, "edges": edges})
 
 
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([{"id": "zzz"}], "vertex 'zzz': id must be an integer below 1"),
+        ([{"id": 99}], "vertex 99: id must be an integer below 1"),
+        ([{}], "vertex None: id must be an integer below 1"),
+        ([{"id": 0, "spans": [[1, 2]]}, {"id": 0, "spans": [[3, 4]]}], "vertex 0: listed twice in vertices"),
+        ([{"id": 0}, {"id": 0}], "vertex 0: listed twice in vertices"),
+    ],
+)
+def test_cfg_json_checks_every_vertex_id(vertices, message):
+    # an entry without spans is checked too, and an id is listed once
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Cfg.from_json({"vertex_count": 1, "vertices": vertices})
+    assert Cfg.from_json({"vertex_count": 1, "vertices": [{"id": 0}]}).spans == {}
+
+
 def test_cfg_json_terse_form():
     g = Cfg.from_json({"vertex_count": 3, "edges": [[0, 1], [1, 2]]})
     assert g.vertex_count == 3
