@@ -52,13 +52,13 @@ def _tree_dot(tree: lang.Stmt) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _warn_if_open(tree: lang.Stmt) -> None:
-    report = lang.check_closed(tree)
-    if not report.is_closed:
-        line, col = report.violations[0]
+def _warn_if_open(violations: tuple[lang.Span, ...]) -> None:
+    # the one stderr line of every command that reads an open program
+    if violations:
+        line, col = violations[0]
         print(
             f"warning: program is not closed "
-            f"({len(report.violations)} break/continue outside any loop, "
+            f"({len(violations)} break/continue outside any loop, "
             f"first at {line}:{col})",
             file=sys.stderr,
         )
@@ -82,13 +82,16 @@ def _edge_pair(text: str) -> tuple[int, int]:
 
 
 def _load_program(path: str) -> spl.Decomposition:
-    # one stderr line, worded as `parse` words it, in place of Python's
-    # display of the warning `decompose` raises, which names this file
+    # the open jumps `decompose` finds are printed as `parse` prints
+    # them, in place of Python's display of its warning
     tree = lang.parse_program(_read_text(path))
-    _warn_if_open(tree)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", spl.OpenProgramWarning)
-        return spl.decompose(tree)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", spl.OpenProgramWarning)
+        decomp = spl.decompose(tree)
+    for w in caught:
+        if isinstance(w.message, spl.OpenProgramWarning):
+            _warn_if_open(w.message.spans)
+    return decomp
 
 
 def _emit(args, sol: solver.Solution, decode=None, **fields) -> int:
@@ -124,7 +127,7 @@ def _solve(args, decomp, instance, decode=None, **fields) -> int:
 
 def _cmd_parse(args) -> int:
     tree = lang.parse_program(_read_text(args.file))
-    _warn_if_open(tree)
+    _warn_if_open(lang.check_closed(tree).violations)
     if args.json:
         sys.stdout.write(_json_text(lang.tree_to_json(tree)))
     elif args.dot:

@@ -20,8 +20,12 @@ class GenConfig:
     nodes do not count).  The p_* weights pick the production at each
     site and are renormalized over whatever is grammatical there:
     break/continue only occur inside a loop and only as leaves, if
-    needs a budget of 3, while of 2.  At leaves the structural mass
-    p_seq + p_if + p_while goes to plain statements.
+    needs a budget of 3, while of 2, and a site at ``max_depth`` or
+    deeper only sequences.  At leaves the structural mass
+    p_seq + p_if + p_while goes to plain statements.  A site whose
+    choices all weigh 0 raises a `ValueError` naming the weights, such
+    as p_seq past ``max_depth``.  Any depth is fine: the generator
+    keeps an explicit stack.
     """
 
     seed: int
@@ -45,6 +49,24 @@ def gen_random_program(config: GenConfig) -> lang.Stmt:
         raise ValueError("size must be at least 1")
     rng = random.Random(config.seed)
 
+    # the GenConfig weights that each production's weight sums
+    weighs = {
+        "eps": ("p_seq", "p_if", "p_while"),
+        "break": ("p_break",),
+        "continue": ("p_continue",),
+        "seq": ("p_seq",),
+        "if": ("p_if",),
+        "while": ("p_while",),
+    }
+    weight = {kind: sum(getattr(config, name) for name in names) for kind, names in weighs.items()}
+
+    def choose(*kinds: str) -> str:
+        weights = [weight[kind] for kind in kinds]
+        if not sum(weights) > 0:
+            named = " + ".join(name for kind in kinds for name in weighs[kind])
+            raise ValueError(f"{named} must be positive where only {' or '.join(kinds)} can go")
+        return rng.choices(kinds, weights)[0]
+
     def atom() -> lang.Stmt:
         return lang.Epsilon(f"v{rng.randrange(10)} := {rng.randrange(100)}")
 
@@ -52,46 +74,41 @@ def gen_random_program(config: GenConfig) -> lang.Stmt:
         return f"v{rng.randrange(10)} < {rng.randrange(100)}"
 
     def leaf(in_loop: bool) -> lang.Stmt:
-        options = [("eps", config.p_seq + config.p_if + config.p_while)]
-        if in_loop:
-            options.append(("break", config.p_break))
-            options.append(("continue", config.p_continue))
-        kind = rng.choices([k for k, _ in options], [w for _, w in options])[0]
+        kind = choose("eps", "break", "continue") if in_loop else choose("eps")
         if kind == "break":
             return lang.Break()
         if kind == "continue":
             return lang.Continue()
         return atom()
 
-    def statement(budget: int, in_loop: bool, depth: int) -> lang.Stmt:
+    # `statement` and `build` are generators: each yields the generator
+    # of every part it needs, and is sent that part once it is made
+    def statement(budget: int, in_loop: bool, depth: int):
         # a single non-sequence statement of exactly `budget` statements
         if budget == 1:
             return leaf(in_loop)
         if budget == 2:
-            return lang.While(guard(), build(1, True, depth + 1))
-        if rng.choices(("if", "while"), (config.p_if, config.p_while))[0] == "if":
+            return lang.While(guard(), (yield build(1, True, depth + 1)))
+        if choose("if", "while") == "if":
             then_budget = rng.randint(1, budget - 2)
             return lang.If(
                 guard(),
-                build(then_budget, in_loop, depth + 1),
-                build(budget - 1 - then_budget, in_loop, depth + 1),
+                (yield build(then_budget, in_loop, depth + 1)),
+                (yield build(budget - 1 - then_budget, in_loop, depth + 1)),
             )
-        return lang.While(guard(), build(budget - 1, True, depth + 1))
+        return lang.While(guard(), (yield build(budget - 1, True, depth + 1)))
 
-    def build(budget: int, in_loop: bool, depth: int) -> lang.Stmt:
+    def build(budget: int, in_loop: bool, depth: int):
         if budget == 1:
             return leaf(in_loop)
-        deep = depth >= config.max_depth
-        options = [("seq", config.p_seq)]
-        if not deep:
-            options.append(("while", config.p_while))
-            if budget >= 3:
-                options.append(("if", config.p_if))
-        kind = rng.choices([k for k, _ in options], [w for _, w in options])[0]
+        if depth >= config.max_depth:
+            kind = choose("seq")
+        else:
+            kind = choose("seq", "while", "if") if budget >= 3 else choose("seq", "while")
         if kind != "seq":
-            return statement(budget, in_loop, depth)
+            return (yield statement(budget, in_loop, depth))
         # sequence: split the budget into two or more statements and
-        # fold them left-associatively (no recursion along the chain)
+        # fold them left-associatively
         if depth + 1 >= config.max_depth:
             parts = [1] * budget
         else:
@@ -101,12 +118,22 @@ def gen_random_program(config: GenConfig) -> lang.Stmt:
                 take = rng.randint(1, remaining)
                 parts.append(take)
                 remaining -= take
-        node = statement(parts[0], in_loop, depth + 1)
+        node = yield statement(parts[0], in_loop, depth + 1)
         for part in parts[1:]:
-            node = lang.Seq(node, statement(part, in_loop, depth + 1))
+            node = lang.Seq(node, (yield statement(part, in_loop, depth + 1)))
         return node
 
-    return build(config.size, False, 0)
+    # the generators waiting on a part, innermost last: the nesting
+    # lives here, not on Python's call stack
+    stack, made = [build(config.size, False, 0)], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(made))
+            made = None
+        except StopIteration as done:
+            stack.pop()
+            made = done.value
+    return made
 
 
 def random_instance(

@@ -13,6 +13,13 @@ whitespace (``str.isspace``) nor ``;``; ``#`` cuts the rest of its line,
 even in the middle of a token.  Atom runs and guards are opaque: any run
 of tokens that are not keywords or ``;``.  There is no one-armed ``if``;
 write an explicit ``else skip`` (``skip`` is just another atom).
+
+A parse-tree class states its structure once, in its dataclass fields:
+those annotated `Stmt` are its subtrees, the others its values.
+`children` reads the subtrees and `walk` the preorder; ``==``,
+``hash``, `check_closed` and `tree_to_json` read the tree through
+those two, with no per-class code.  `pretty_print`, ``repr`` and the
+parser keep their own, and nothing here recurses.
 """
 
 from __future__ import annotations
@@ -49,16 +56,17 @@ class EmptyInputError(ProgramSyntaxError):
 # parse trees
 
 
-# Every parse-tree class takes ``==``, ``hash`` and ``repr`` from
-# `Stmt`, which walk the tree with an explicit stack and give what the
-# generated dataclass methods give; those recurse once per nesting
-# level, so a deep program would raise RecursionError.
+# Parse-tree classes take ``==``, ``hash`` and ``repr`` from `Stmt`:
+# the generated dataclass methods recurse once per nesting level, so a
+# deep program would raise RecursionError.
 _node = dataclass(frozen=True, eq=False, repr=False)
 
 
 @functools.cache
-def _compared(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.compare)
+def _layout(cls: type) -> tuple[tuple[str, bool], ...]:
+    """Each compared field of a node class, and whether it holds a
+    subtree: a field annotated `Stmt` does."""
+    return tuple((f.name, f.type == "Stmt") for f in fields(cls) if f.compare)
 
 
 class _Hashed:
@@ -74,12 +82,22 @@ class _Hashed:
         return self.value
 
 
+def _preorder(tree: Stmt) -> list[tuple]:
+    """Each node's class and values, in preorder; a class has a fixed
+    number of subtrees, so the list determines the tree."""
+    return [(n.__class__, *[getattr(n, f) for f, sub in _layout(n.__class__) if not sub]) for n in walk(tree)]
+
+
 @_node
 class Stmt:
     """Base class for parse-tree nodes.
 
     ``span`` records where the node started in the source and is excluded
     from equality so structurally identical trees compare equal.
+    A class's fields annotated `Stmt` are its subtrees, which
+    `children` returns; ``==`` compares `walk`'s preorder of the two
+    trees, and ``hash`` folds it, giving what the generated dataclass
+    hash gives.
     """
 
     span: Span = field(default=(1, 1), compare=False, kw_only=True)
@@ -87,37 +105,17 @@ class Stmt:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if isinstance(a, Stmt) or isinstance(b, Stmt):
-                if a.__class__ is not b.__class__:
-                    return False
-                names = _compared(a.__class__)
-                stack.extend(zip([getattr(a, n) for n in names], [getattr(b, n) for n in names]))
-            elif not a == b:
-                return False
-        return True
+        return self is other or _preorder(self) == _preorder(other)
 
     def __hash__(self) -> int:
-        # children first: a node hashes as the tuple of its compared
-        # fields, with each subtree's hash standing in for the subtree
-        known: dict[int, int] = {}
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            values = [getattr(node, n) for n in _compared(node.__class__)]
-            pending = [v for v in values if isinstance(v, Stmt) and id(v) not in known]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            known[id(node)] = hash(
-                tuple(_Hashed(known[id(v)]) if isinstance(v, Stmt) else v for v in values)
-            )
-        return known[id(self)]
+        # a node hashes as the tuple of its compared fields, each
+        # subtree's hash standing in for the subtree; in reversed
+        # preorder those come just before the node, first one on top
+        hashes: list[int] = []
+        for node in reversed(list(walk(self))):
+            layout = _layout(node.__class__)
+            hashes.append(hash(tuple([_Hashed(hashes.pop()) if sub else getattr(node, n) for n, sub in layout])))
+        return hashes[0]
 
     def __repr__(self) -> str:
         out: list[str] = []
@@ -156,32 +154,28 @@ class Continue(Stmt):
 
 @_node
 class Seq(Stmt):
-    left: "Stmt"
-    right: "Stmt"
+    left: Stmt
+    right: Stmt
 
 
 @_node
 class If(Stmt):
     guard: str
-    then_branch: "Stmt"
-    else_branch: "Stmt"
+    then_branch: Stmt
+    else_branch: Stmt
 
 
 @_node
 class While(Stmt):
     guard: str
-    body: "Stmt"
+    body: Stmt
 
 
 def children(node: Stmt) -> tuple[Stmt, ...]:
     """Immediate subtrees of a node, left to right."""
-    if isinstance(node, Seq):
-        return (node.left, node.right)
-    if isinstance(node, If):
-        return (node.then_branch, node.else_branch)
-    if isinstance(node, While):
-        return (node.body,)
-    return ()
+    if not isinstance(node, Stmt):
+        raise TypeError(f"not a parse tree node: {node!r}")
+    return tuple([getattr(node, n) for n, sub in _layout(node.__class__) if sub])
 
 
 def walk(tree: Stmt) -> Iterator[Stmt]:
@@ -214,17 +208,10 @@ def check_closed(tree: Stmt) -> ClosednessReport:
     stack: list[tuple[Stmt, bool]] = [(tree, False)]
     while stack:
         node, in_loop = stack.pop()
-        if isinstance(node, (Break, Continue)):
-            if not in_loop:
-                violations.append(node.span)
-        elif isinstance(node, Seq):
-            stack.append((node.right, in_loop))
-            stack.append((node.left, in_loop))
-        elif isinstance(node, If):
-            stack.append((node.else_branch, in_loop))
-            stack.append((node.then_branch, in_loop))
-        elif isinstance(node, While):
-            stack.append((node.body, True))
+        if isinstance(node, (Break, Continue)) and not in_loop:
+            violations.append(node.span)
+        in_loop = in_loop or isinstance(node, While)
+        stack.extend((child, in_loop) for child in reversed(children(node)))
     return ClosednessReport(not violations, tuple(violations))
 
 
@@ -328,11 +315,26 @@ def parse_program(source: str) -> Stmt:
 # pretty-printer
 
 
+def _printed(text: str, what: str) -> str:
+    """``text`` itself, if the parser reads it back as one atom or
+    guard: non-empty tokens joined by single spaces, with no ``#``,
+    ``;`` or keyword."""
+    tokens = _TOKEN.findall(text)
+    if not tokens or " ".join(tokens) != text or "#" in text or not _STOP.isdisjoint(tokens):
+        raise ValueError(
+            f"{what} {text!r} would not parse back: it must be tokens joined by single spaces, "
+            "with no '#', ';' or keyword"
+        )
+    return text
+
+
 def pretty_print(tree: Stmt) -> str:
     """Render a tree in canonical form: one statement per line,
     ``;`` at line ends, bodies indented two spaces a level.
 
-    Parsing the output yields a tree equal to the input (spans aside).
+    Parsing the output yields a tree equal to the input (spans aside):
+    an atom's text or a guard that would not read back as itself raises
+    a `ValueError` naming it (see `_printed`).
     """
     lines: list[str] = []
     # work items: (statement or literal line, depth, text after it); in
@@ -344,19 +346,19 @@ def pretty_print(tree: Stmt) -> str:
         if isinstance(node, str):
             lines.append(pad + node + end)
         elif isinstance(node, Epsilon):
-            lines.append(pad + node.text + end)
+            lines.append(pad + _printed(node.text, "atom") + end)
         elif isinstance(node, Break):
             lines.append(pad + "break" + end)
         elif isinstance(node, Continue):
             lines.append(pad + "continue" + end)
         elif isinstance(node, If):
-            lines.append(pad + f"if {node.guard} then")
+            lines.append(pad + f"if {_printed(node.guard, 'guard')} then")
             stack.append(("fi", depth, end))
             stack.append((node.else_branch, depth + 1, ""))
             stack.append(("else", depth, ""))
             stack.append((node.then_branch, depth + 1, ""))
         elif isinstance(node, While):
-            lines.append(pad + f"while {node.guard} do")
+            lines.append(pad + f"while {_printed(node.guard, 'guard')} do")
             stack.append(("od", depth, end))
             stack.append((node.body, depth + 1, ""))
         else:
@@ -365,27 +367,25 @@ def pretty_print(tree: Stmt) -> str:
     return "\n".join(lines) + "\n"
 
 
-_KINDS = {cls: cls.__name__.lower() for cls in (Epsilon, Break, Continue, Seq, If, While)}
-
-
 def tree_to_json(tree: Stmt) -> dict:
     """Plain-dict form of a parse tree (for the CLI's --json output):
-    the nodes in `walk` preorder, so ``root`` is 0, each listing its
-    children by index."""
+    the nodes in `walk` preorder, so ``root`` is 0, each with its kind
+    (its class's name, lowercased), its span, and its compared fields:
+    a subtree listed by index in ``children``, any other field under
+    its own name."""
     order = list(walk(tree))
-    index = {id(node): i for i, node in enumerate(order)}
-    nodes = []
-    for node in order:
-        kind = _KINDS.get(node.__class__)
-        if kind is None:
-            raise TypeError(f"not a parse tree node: {node!r}")
-        obj: dict = {"kind": kind, "span": list(node.span)}
-        if kind == "epsilon":
-            obj["text"] = node.text
-        elif kind in ("if", "while"):
-            obj["guard"] = node.guard
-        kids = children(node)
+    nodes: list[dict] = []
+    # in reversed preorder a node's subtrees come just before it, the
+    # first one's index on top of `done`
+    done: list[int] = []
+    for i in reversed(range(len(order))):
+        node = order[i]
+        layout = _layout(node.__class__)
+        obj: dict = {"kind": node.__class__.__name__.lower(), "span": list(node.span)}
+        obj.update((name, getattr(node, name)) for name, sub in layout if not sub)
+        kids = [done.pop() for _, sub in layout if sub]
         if kids:
-            obj["children"] = [index[id(c)] for c in kids]
+            obj["children"] = kids
         nodes.append(obj)
-    return {"nodes": nodes, "root": 0}
+        done.append(i)
+    return {"nodes": nodes[::-1], "root": 0}

@@ -52,7 +52,12 @@ LOOP_BACK = "loop-back"
 
 
 class OpenProgramWarning(UserWarning):
-    """Emitted when decomposing a program with top-level break/continue."""
+    """Emitted when decomposing a program with top-level break/continue;
+    ``spans`` holds each one's span, in source order."""
+
+    def __init__(self, message: str, spans: tuple[Span, ...] = ()):
+        super().__init__(message)
+        self.spans = spans
 
 
 @dataclass(frozen=True, slots=True)
@@ -491,12 +496,8 @@ def decompose(tree: Stmt) -> Decomposition:
 
     if open_jumps:
         line, col = open_jumps[0]
-        warnings.warn(
-            f"program is not closed: {len(open_jumps)} break/continue "
-            f"outside any loop (first at {line}:{col})",
-            OpenProgramWarning,
-            stacklevel=2,
-        )
+        message = f"program is not closed: {len(open_jumps)} break/continue outside any loop (first at {line}:{col})"
+        warnings.warn(OpenProgramWarning(message, tuple(open_jumps)), stacklevel=2)
 
     # relabel the out-edges of every vertex with two or more as
     # branches; the one to the lowest target falls through

@@ -6,6 +6,12 @@ replays a decomposition with it, as the reference for `decompose`,
 which builds the CFG in one post-order pass.  `decomposition` stores a
 list of `DecompNode`s flat, as `decompose` does, and `dp_tables` gives
 every node's full DP table, for comparison with exhaustive search.
+`textbook_min_cost` is a second minimum, independent of the solver's
+forward pass: the DP as the paper states it, one full (d, d, d, d)
+table per node of the decomposition, each edge charged by the first
+leaf or loop that lists it, and each vertex's cost and allowed-set
+mask added where it stops being special.  It costs O(|G|·d^6), which
+is cheap at d ≤ 4 at any program size.
 The counts of a parse tree and an instance's tables by edge key are
 read only by the tests, so they live here too.
 """
@@ -339,3 +345,60 @@ def dp_tables(instance: PcspInstance, decomp: Decomposition) -> list[np.ndarray]
         out[np.ix_(*values)] = tab[np.ix_(*at)]
         full.append(out)
     return full
+
+
+def _along(table: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
+    """A vector or a 2-D table laid along ``axes`` of an ``ndim``-axis
+    tensor, broadcast over the others."""
+    if len(axes) == 2 and axes[0] > axes[1]:
+        table, axes = table.T, axes[::-1]
+    return np.expand_dims(table, [a for a in range(ndim) if a not in axes])
+
+
+def textbook_min_cost(instance: PcspInstance, decomp: Decomposition) -> float:
+    """The minimum total cost by the DP as the paper states it, in
+    O(|G|·d^6): one full (d, d, d, d) table per node of ``decomp``, over
+    its S, T, B and C, in post-order, with no regrouping, batching or
+    narrowing.
+
+    A leaf's table is its edge's; a series node minimizes over the
+    merge point and a parallel node adds its operands; a loop minimizes
+    over its child's four specials at once, in a d**6 tensor over
+    (S, T, S1, T1, B1, C1), and adds its five edges.  Each CFG edge is
+    charged by the first leaf or loop that lists it.  A vertex's cost
+    and allowed-set mask are added where it stops being special: at a
+    series node's merge point, at a loop's child's specials, and at the
+    root's specials at the end."""
+    d, nodes = instance.d, decomp.nodes
+    vertex = instance.vertex_costs + allowed_mask(instance)
+    positions, charged = iter(decomp.edges), set()
+
+    def edge() -> np.ndarray:
+        at = next(positions)
+        if at in charged:
+            return np.zeros((d, d))
+        charged.add(at)
+        return instance.edge_stack[instance.edge_rows[at]]
+
+    def freed(specials: Sequence[int], first_axis: int, ndim: int) -> np.ndarray:
+        return sum(_along(vertex[v], [first_axis + i], ndim) for i, v in enumerate(specials))
+
+    tables: list[np.ndarray] = []
+    for node in nodes:
+        if node.kind in ("epsilon", "break", "continue"):
+            table = _along(edge(), [0, ("epsilon", "break", "continue").index(node.kind) + 1], 4)
+        elif node.kind == "series":
+            left, right = (tables[c] for c in node.children)
+            table = (left[:, :, None] + right[None] + _along(vertex[node.merged], [1], 5)).min(axis=1)
+        elif node.kind == "parallel":
+            table = tables[node.children[0]] + tables[node.children[1]]
+        else:
+            # axes S, T, S1, T1, B1, C1; the edges S->T, S->S1, T1->S,
+            # C1->S and B1->T, in the order `decomp.edges` lists them
+            child = nodes[node.children[0]]
+            total = tables[node.children[0]][None, None] + freed(child.specials, 2, 6)
+            for axes in ([0, 1], [0, 2], [3, 0], [5, 0], [4, 1]):
+                total = total + _along(edge(), axes, 6)
+            table = total.min(axis=(2, 3, 4, 5))[:, :, None, None]
+        tables.append(np.broadcast_to(table, (d,) * 4))
+    return float((tables[-1] + freed(nodes[-1].specials, 0, 4)).min())

@@ -704,6 +704,17 @@ def test_cfg_writes_one_warning_line_on_an_open_program(tmp_path):
     assert json.loads(proc.stdout)["vertex_count"] == 5
 
 
+def test_cfg_finds_open_jumps_without_check_closed(capsys, program, monkeypatch):
+    def refuse(tree):
+        raise AssertionError("check_closed called")
+
+    monkeypatch.setattr(lang, "check_closed", refuse)
+    path = program("a; break; while p do continue od; continue")
+    for argv in (("cfg", path), ("cfg", path, "--tree"), ("lospre", path, "--use", "1")):
+        rc, _, err = run(capsys, *argv)
+        assert (rc, err) == (0, "warning: program is not closed (2 break/continue outside any loop, first at 1:4)\n")
+
+
 def test_help_is_exit_code_0(capsys):
     assert run_cli(["--help"]) == 0
     out = capsys.readouterr().out

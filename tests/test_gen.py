@@ -69,6 +69,25 @@ def test_default_depth_handles_large_programs():
     decompose(tree)  # no recursion limit anywhere downstream
 
 
+def test_deep_nesting_needs_no_recursion():
+    cfg = GenConfig(seed=1, size=20000, p_seq=0.01, p_if=0.0, p_while=1.0, max_depth=2000)
+    tree = gen_random_program(cfg)
+    assert count_statements(tree) == cfg.size
+    assert 1000 < container_nesting(tree) <= cfg.max_depth + 2
+    assert lang.check_closed(tree).is_closed
+    decompose(tree)
+
+
+def test_a_site_with_nothing_to_choose_names_the_weight():
+    cfg = GenConfig(seed=1, size=20000, p_seq=0.0, p_if=0.0, p_while=1.0, max_depth=100)
+    with pytest.raises(ValueError, match="^p_seq must be positive where only seq can go"):
+        gen_random_program(cfg)
+    with pytest.raises(ValueError, match="^p_seq \\+ p_if \\+ p_while must be positive"):
+        gen_random_program(GenConfig(seed=1, size=1, p_seq=0.0, p_if=0.0, p_while=0.0))
+    with pytest.raises(ValueError, match="^p_if \\+ p_while must be positive"):
+        gen_random_program(GenConfig(seed=1, size=5, p_seq=1.0, p_if=0.0, p_while=0.0))
+
+
 def test_break_and_continue_show_up():
     kinds = set()
     for seed in range(40):

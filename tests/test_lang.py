@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,6 +247,45 @@ def test_deep_trees_compare_hash_and_print():
     )
 
 
+@pytest.mark.parametrize(
+    "tree, named",
+    [
+        (Epsilon("a; b"), "atom 'a; b'"),
+        (Epsilon("x # y"), "atom 'x # y'"),
+        (Epsilon("a  b"), "atom 'a  b'"),
+        (Epsilon(" a"), "atom ' a'"),
+        (Epsilon("od"), "atom 'od'"),
+        (Epsilon(""), "atom ''"),
+        (While("p\nq", Epsilon("a")), "guard 'p\\nq'"),
+        (If("", Epsilon("a"), Epsilon("b")), "guard ''"),
+        (Seq(Epsilon("a"), If("p", Break(), Epsilon("x then"))), "atom 'x then'"),
+    ],
+)
+def test_pretty_print_refuses_what_would_not_parse_back(tree, named):
+    with pytest.raises(ValueError, match="^" + re.escape(named) + " would not parse back"):
+        pretty_print(tree)
+
+
+def test_children_are_the_fields_annotated_stmt():
+    a, b = Epsilon("a"), Break()
+    assert lang.children(If("p", a, b)) == (a, b)
+    assert lang.children(Seq(a, b)) == (a, b)
+    assert lang.children(While("p", a)) == (a,)
+    assert lang.children(a) == lang.children(Continue()) == ()
+
+
+def test_tree_to_json_refuses_a_non_node():
+    with pytest.raises(TypeError, match="not a parse tree node"):
+        lang.tree_to_json(Seq(Epsilon("a"), 5))
+
+
+def test_tree_to_json_lists_a_shared_subtree_once_per_use():
+    shared = Epsilon("a")
+    nodes = lang.tree_to_json(Seq(shared, shared))["nodes"]
+    assert nodes[0]["children"] == [1, 2]
+    assert nodes[1] == nodes[2] == {"kind": "epsilon", "span": [1, 1], "text": "a"}
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -334,6 +375,16 @@ def _token_starts(source):
             ):
                 starts.add((lineno, i + 1))
     return starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(SOUP)
+def test_pretty_print_prints_an_atom_that_parses_back_or_refuses_it(text):
+    try:
+        printed = pretty_print(Epsilon(text))
+    except ValueError:
+        return
+    assert parse_program(printed) == Epsilon(text)
 
 
 @settings(max_examples=400, deadline=None)

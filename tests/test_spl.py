@@ -247,6 +247,18 @@ def test_open_program_warning_counts_what_check_closed_finds(tree):
     assert opened == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(jump_trees())
+def test_open_program_warning_lists_the_spans_check_closed_finds(tree):
+    tree = lang.parse_program(lang.pretty_print(tree))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        decompose(tree)
+    spans = [w.message.spans for w in caught if issubclass(w.category, OpenProgramWarning)]
+    violations = lang.check_closed(tree).violations
+    assert spans == ([violations] if violations else [])
+
+
 def test_spans_recorded_for_every_vertex_of_interest():
     d = decompose_source("a;\nwhile p do\n  b\nod")
     # every vertex allocated by an atom or loop carries source positions
